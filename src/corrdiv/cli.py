@@ -17,6 +17,7 @@ import yaml
 from .corrmodels import CorrelationModelSpec
 from .errors import CorrDivError, InvalidParameterError, ScenarioError
 from .montecarlo import (
+    RNG_CONTRACT,
     Scenario,
     empirical_cdf,
     percentile,
@@ -29,7 +30,7 @@ from .propagation import (
     calibrate_attenuation_constant,
 )
 
-_TOP_KEYS = {"m", "l", "rho_t_db", "sigma2", "model", "geometry", "run"}
+_TOP_KEYS = {"rng_contract", "m", "l", "rho_t_db", "sigma2", "model", "geometry", "run"}
 _MODEL_KEYS = {
     "type",
     "xi",
@@ -208,6 +209,7 @@ def load_scenario_file(path):
 
     Returns ``(scenario, wants_calibration)``. The scenario carries a
     placeholder attenuation constant of 1.0 when calibration was requested.
+    An optional top-level ``rng_contract`` must name the current contract.
     """
     try:
         text = Path(path).read_text()
@@ -229,6 +231,13 @@ def load_scenario_file(path):
     p = _Parser(path, data, marks)
 
     data = p.mapping(data, (), _TOP_KEYS, {"m", "l", "model", "geometry", "run"})
+    contract = data.get("rng_contract", RNG_CONTRACT)
+    if isinstance(contract, bool) or contract != RNG_CONTRACT:
+        p.fail(
+            ("rng_contract",),
+            f"written under RNG contract {contract!r}; this version reproduces "
+            f"only contract {RNG_CONTRACT}",
+        )
     m = p.integer(data, (), "m")
     l = p.integer(data, (), "l")
     rho_t_db = p.number(data, (), "rho_t_db", default=0.0)
@@ -265,7 +274,8 @@ def load_scenario_file(path):
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serializable scenario in the file schema (attenuation resolved)."""
+    """Serializable scenario in the file schema (attenuation resolved), stamped
+    with the RNG contract its outputs were drawn under."""
     model = scenario.model
     model_doc = {"type": model.variant}
     if model.variant in ("exponential", "clerckx"):
@@ -284,6 +294,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "spread_floor_deg": mm.spread_floor_deg,
             }
     return {
+        "rng_contract": RNG_CONTRACT,
         "m": scenario.m,
         "l": scenario.l,
         "rho_t_db": scenario.rho_t_db,

@@ -10,7 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import toeplitz
 
 from .errors import (
     CorrDivError,
@@ -18,6 +17,7 @@ from .errors import (
     IndefiniteMatrixError,
     InvalidParameterError,
     QuadratureNonconvergenceError,
+    require_finite,
 )
 
 # eigenvalues in [PSD_FLOOR, 0) are rounding noise and get clamped; anything
@@ -93,9 +93,17 @@ class CorrelationModelSpec:
     def __post_init__(self):
         if self.variant not in ("exponential", "clerckx", "one_ring"):
             raise InvalidParameterError(f"unknown correlation model variant {self.variant!r}")
+        lo, hi = self.phase_range_deg
+        tagged = {"angular_spread_deg": self.angular_spread_deg, "mean_doa_deg": self.mean_doa_deg}
+        require_finite(
+            xi=self.xi,
+            phase_range_low_deg=lo,
+            phase_range_high_deg=hi,
+            spacing_wavelengths=self.spacing_wavelengths,
+            **{k: v for k, v in tagged.items() if not isinstance(v, str)},
+        )
         if self.variant in ("exponential", "clerckx") and not 0 <= self.xi <= 1:
             raise InvalidParameterError(f"xi must be in [0, 1], got {self.xi}")
-        lo, hi = self.phase_range_deg
         if lo > hi:
             raise InvalidParameterError(f"phase range must be ordered, got ({lo}, {hi})")
         if self.variant == "one_ring":
@@ -112,6 +120,18 @@ class CorrelationModelSpec:
                 raise InvalidParameterError("element spacing must be positive")
 
 
+def _hermitian_toeplitz(col):
+    """Toeplitz matrix with first column ``col`` and its conjugate mirror above.
+
+    entry(i, j) = col[i - j] for i >= j and conj(col[j - i]) otherwise, so the
+    result is exactly Hermitian whenever col[0] is real.
+    """
+    m = col.size
+    # full[m - 1 + k] is the entry at lag i - j = k
+    full = np.concatenate((col.conj()[:0:-1], col))
+    return full[np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)]
+
+
 def _check_order_xi(m, xi):
     if m < 1:
         raise InvalidParameterError(f"matrix order must be >= 1, got {m}")
@@ -123,7 +143,7 @@ def build_exponential(m: int, xi: float) -> CorrelationMatrix:
     """Real symmetric Toeplitz profile with entry(i, j) = xi^|i-j|."""
     _check_order_xi(m, xi)
     col = xi ** np.arange(m, dtype=np.float64)
-    return CorrelationMatrix(toeplitz(col))
+    return CorrelationMatrix(_hermitian_toeplitz(col))
 
 
 def build_clerckx(m: int, xi: float, delta_phase_deg: float) -> CorrelationMatrix:
@@ -137,7 +157,7 @@ def build_clerckx(m: int, xi: float, delta_phase_deg: float) -> CorrelationMatri
     base = xi * np.exp(1j * np.deg2rad(delta_phase_deg))
     row = base ** np.arange(m)
     row[0] = 1.0
-    return CorrelationMatrix(toeplitz(row.conj(), row))
+    return CorrelationMatrix(_hermitian_toeplitz(row.conj()))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +215,7 @@ def build_one_ring(
         vals = refined
 
     vals[0] = 1.0  # integrand is identically 1 at zero lag
-    return CorrelationMatrix(toeplitz(vals, vals.conj()))
+    return CorrelationMatrix(_hermitian_toeplitz(vals))
 
 
 def factor(r: CorrelationMatrix) -> CorrelationFactor:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CorrDivError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,13 @@ class CorrDivError(Exception):
 
 class InvalidParameterError(CorrDivError):
     """A constructor or operation received an out-of-contract argument."""
+
+
+def require_finite(**values):
+    """Raise ``InvalidParameterError`` naming the first non-finite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
 class DimensionMismatchError(CorrDivError):

@@ -1,15 +1,18 @@
 """Drop x fading-trial Monte Carlo orchestration and aggregation.
 
-Randomness discipline: every stream is derived from the scenario seed as
-SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding a Philox counter
-generator. Lane 0 carries geometry and shadowing, lane 1 the per-terminal
-correlation parameters, lane 2+t fading trial t. Drops are therefore
-independent work units whose results do not depend on worker count or
-scheduling order.
+Randomness discipline (RNG contract 2): every stream is derived from the
+scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding a
+Philox counter generator. Lane 0 carries geometry and shadowing, lane 1 the
+per-terminal correlation parameters, lane 2 the drop's whole fading block and
+lane 3 the redraws of ill-conditioned trials, taken in trial order. Drops are
+therefore independent work units whose results do not depend on worker count
+or scheduling order, and scenarios of equal (n_fading, L, M) share their
+fading block drop by drop.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,7 +26,7 @@ from .corrmodels import (
     build_one_ring,
     factor,
 )
-from .errors import CorrDivError, InvalidParameterError, RunFailureError
+from .errors import CorrDivError, InvalidParameterError, RunFailureError, require_finite
 from .propagation import (
     GeometryConfig,
     MeasuredAngularModel,
@@ -34,9 +37,14 @@ from .propagation import (
 )
 from .zfcore import COND_MAX, draw_fading, expected_sum_se_closed_form, expected_zf_snr_closed_form
 
+# version of the seed-to-stream mapping; manifests record it, since outputs
+# of one contract cannot be reproduced under another
+RNG_CONTRACT = 2
+
 _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
-_FADING_LANE_BASE = 2
+_FADING_LANE = 2
+_REDRAW_LANE = 3
 # a single trial redrawn this often means the ensemble itself is degenerate
 _MAX_REDRAWS = 64
 
@@ -56,6 +64,7 @@ class Scenario:
     radial_law: str = "area"
 
     def __post_init__(self):
+        require_finite(rho_t_db=self.rho_t_db, sigma2=self.sigma2)
         if self.m < 1 or self.l < 1 or self.l > self.m:
             raise InvalidParameterError(f"need M >= L >= 1, got M={self.m}, L={self.l}")
         if self.n_drops < 1 or self.n_fading < 1:
@@ -102,6 +111,19 @@ def _stream(seed: int, drop: int, lane: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
+@lru_cache(maxsize=8)
+def _exponential_profile(m: int, xi: float):
+    """The exponential matrix and its read-only conjugate-transposed factor.
+
+    Both depend on (M, xi) alone, so every drop of an exponential scenario,
+    and of the calibration baseline, shares one eigendecomposition.
+    """
+    r = build_exponential(m, xi)
+    bh = factor(r).factor.conj().T
+    bh.setflags(write=False)
+    return r, bh
+
+
 def _terminal_correlations(scenario: Scenario, rng):
     """Per-terminal correlation matrices plus the resolved parameter dicts.
 
@@ -112,7 +134,7 @@ def _terminal_correlations(scenario: Scenario, rng):
     model = scenario.model
     n = scenario.l
     if model.variant == "exponential":
-        r = build_exponential(scenario.m, model.xi)
+        r, _ = _exponential_profile(scenario.m, model.xi)
         return [r] * n, [{"xi": model.xi}] * n
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
@@ -167,26 +189,27 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
     _, trace_sq = average_correlation(rs)
 
     if scenario.model.variant == "exponential":
-        bh_single = factor(rs[0]).factor.conj().T
+        _, bh_single = _exponential_profile(n_ant, scenario.model.xi)
         bh = np.broadcast_to(bh_single, (n_term, n_ant, n_ant))
     else:
         bh = np.stack([factor(r).factor.conj().T for r in rs])
 
-    w = np.empty((scenario.n_fading, n_term, n_ant), dtype=np.complex128)
-    for t in range(scenario.n_fading):
-        w[t] = draw_fading(_stream(seed, drop_index, _FADING_LANE_BASE + t), n_term, n_ant)
+    w = draw_fading(
+        _stream(seed, drop_index, _FADING_LANE), n_term, n_ant, n_trials=scenario.n_fading
+    )
     stats = kernels.gram_eta_stats(w, bh)
 
     rejected = 0
+    gen_redraw = None
     for t in range(scenario.n_fading):
         if _condition_ok(stats[t]):
             continue
-        # redraw from this trial's own stream; attempt k consumes block k
-        for attempt in range(1, _MAX_REDRAWS + 1):
+        if gen_redraw is None:
+            gen_redraw = _stream(seed, drop_index, _REDRAW_LANE)
+        # every attempt takes the next single-trial block of the redraw lane
+        for _ in range(_MAX_REDRAWS):
             rejected += 1
-            gen_t = _stream(seed, drop_index, _FADING_LANE_BASE + t)
-            for _ in range(attempt + 1):
-                w_t = draw_fading(gen_t, n_term, n_ant)
+            w_t = draw_fading(gen_redraw, n_term, n_ant)
             stats[t] = kernels.gram_eta_stats(w_t[np.newaxis], bh)[0]
             if _condition_ok(stats[t]):
                 break

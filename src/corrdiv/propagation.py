@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, InvalidParameterError
+from .errors import CalibrationError, InvalidParameterError, require_finite
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,13 @@ class GeometryConfig:
     attenuation_constant: float = 1.0
 
     def __post_init__(self):
+        require_finite(
+            cell_radius_m=self.cell_radius_m,
+            reference_distance_m=self.reference_distance_m,
+            attenuation_exponent=self.attenuation_exponent,
+            shadowing_std_db=self.shadowing_std_db,
+            attenuation_constant=self.attenuation_constant,
+        )
         if not 0 < self.reference_distance_m < self.cell_radius_m:
             raise InvalidParameterError(
                 f"need 0 < r0 < cell radius, got r0={self.reference_distance_m}, "
@@ -61,6 +68,13 @@ class MeasuredAngularModel:
     spread_floor_deg: float = 1.0
 
     def __post_init__(self):
+        require_finite(
+            spread_mean_deg=self.spread_mean_deg,
+            spread_std_deg=self.spread_std_deg,
+            doa_low_deg=self.doa_low_deg,
+            doa_high_deg=self.doa_high_deg,
+            spread_floor_deg=self.spread_floor_deg,
+        )
         if self.spread_floor_deg <= 0:
             raise InvalidParameterError("spread floor must be positive")
         if self.spread_std_deg < 0:

@@ -25,6 +25,9 @@ COND_MAX = 1e12
 
 _NEUMANN_ORDERS = (1, 2, 3)
 
+# trials per standard-normal chunk of a batched fading draw
+_FADING_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class ChannelMatrix:
@@ -58,10 +61,21 @@ class SnrReport:
     sum_se_bits: float
 
 
-def draw_fading(rng, n_terminals: int, n_antennas: int) -> np.ndarray:
-    """One iid CN(0, 1) draw per entry, as an (L, M) complex matrix."""
-    z = rng.standard_normal((n_terminals, 2 * n_antennas))
-    return np.sqrt(0.5) * (z[:, :n_antennas] + 1j * z[:, n_antennas:])
+def draw_fading(rng, n_terminals: int, n_antennas: int, n_trials=None) -> np.ndarray:
+    """iid CN(0, 1) entries: one (L, M) matrix, or (n_trials, L, M) when given.
+
+    Each trial reads L rows of 2M standard normals from ``rng``, real halves
+    first. A batch is read as one (n_trials, L, 2M) block, filled in chunks of
+    trials so no full-size float temporary is held; the C-order fill makes it
+    bit-identical to ``n_trials`` successive single-trial calls.
+    """
+    w = np.empty((1 if n_trials is None else n_trials, n_terminals, n_antennas), np.complex128)
+    for start in range(0, w.shape[0], _FADING_CHUNK):
+        z = rng.standard_normal((min(_FADING_CHUNK, w.shape[0] - start), n_terminals, 2 * n_antennas))
+        w[start : start + z.shape[0]] = np.sqrt(0.5) * (
+            z[..., :n_antennas] + 1j * z[..., n_antennas:]
+        )
+    return w[0] if n_trials is None else w
 
 
 def sample_channel(factors, rng) -> ChannelMatrix:

@@ -1,6 +1,8 @@
 """End-to-end CLI tests driven through main(argv) in-process."""
 
 import csv
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -97,6 +99,14 @@ class TestRunCommand:
         assert reloaded == original
         assert scenario_to_dict(reloaded) == scenario_to_dict(original)
 
+    def test_manifest_records_rng_contract(self, tmp_path):
+        scenario_path = write_scenario(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_path), "--out", str(out)])
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["rng_contract"] == 2
+        assert "rng_contract" not in manifest["run"]
+
     def test_degenerate_run_exits_one(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "  type: exponential\n  xi: 0.6",
@@ -115,6 +125,31 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "model.xi" in err
         assert f"{scenario}:5:" in err
+
+    def test_nan_in_sample_scenario_exits_two(self, tmp_path, capsys):
+        sample = Path(__file__).resolve().parents[1] / "scenarios" / "clerckx_delta38.yaml"
+        text = sample.read_text()
+        assert "rho_t_db: 5.0" in text
+        scenario = write_scenario(tmp_path, text.replace("rho_t_db: 5.0", "rho_t_db: .nan"))
+        code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"{re.escape(str(scenario))}:\d+:", err)
+        assert "rho_t_db must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1", "3", "true", "'2'"])
+    def test_foreign_rng_contract_is_located(self, tmp_path, capsys, value):
+        scenario = write_scenario(tmp_path, f"rng_contract: {value}\n" + MINIMAL)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{scenario}:1:" in err
+        assert "RNG contract" in err
+
+    def test_current_rng_contract_is_accepted(self, tmp_path):
+        plain = write_scenario(tmp_path, MINIMAL, "plain.yaml")
+        stamped = write_scenario(tmp_path, "rng_contract: 2\n" + MINIMAL, "stamped.yaml")
+        assert load_scenario_file(stamped) == load_scenario_file(plain)
 
     def test_unknown_key_is_located(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, MINIMAL + "bogus_knob: 3\n")
@@ -253,6 +288,7 @@ class TestCalibrateCommand:
         assert achieved == pytest.approx(0.0, abs=1e-6)
         resolved = yaml.safe_load((out / "base.resolved.yaml").read_text())
         assert resolved["geometry"]["attenuation_constant"] == pytest.approx(constant)
+        assert resolved["rng_contract"] == 2
 
     def test_rerun_gives_identical_constant(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, CALIBRATE, "base.yaml")

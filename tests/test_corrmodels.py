@@ -1,8 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corrdiv
 from corrdiv import (
     CorrelationMatrix,
+    CorrelationModelSpec,
     IndefiniteMatrixError,
     InvalidParameterError,
     QuadratureNonconvergenceError,
@@ -224,3 +230,48 @@ def test_randomized_constructions_keep_invariants():
         assert np.all(r.entries.diagonal() == 1.0)
         assert np.all(np.abs(r.entries) <= 1 + 1e-9)
         r.validate()
+
+
+def test_toeplitz_builds_match_scipy_exactly():
+    from scipy.linalg import toeplitz
+
+    for m in (1, 2, 7, 64):
+        col = 0.9 ** np.arange(m, dtype=np.float64)
+        assert np.array_equal(build_exponential(m, 0.9).entries, toeplitz(col))
+        base = 0.9 * np.exp(1j * np.deg2rad(27.3))
+        row = base ** np.arange(m)
+        row[0] = 1.0
+        assert np.array_equal(build_clerckx(m, 0.9, 27.3).entries, toeplitz(row.conj(), row))
+        ring = build_one_ring(m, 14.02, 33.0).entries
+        assert np.array_equal(ring, toeplitz(ring[:, 0], ring[:, 0].conj()))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(corrdiv.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import corrdiv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"variant": "exponential", "xi": float("nan")},
+        {"variant": "one_ring", "xi": float("nan")},
+        {"variant": "clerckx", "xi": 0.9, "phase_range_deg": (0.0, float("nan"))},
+        {"variant": "clerckx", "xi": 0.9, "phase_range_deg": (float("-inf"), 38.0)},
+        {"variant": "one_ring", "angular_spread_deg": float("nan")},
+        {"variant": "one_ring", "mean_doa_deg": float("nan")},
+        {"variant": "one_ring", "mean_doa_deg": float("inf")},
+        {"variant": "one_ring", "spacing_wavelengths": float("nan")},
+        {"variant": "one_ring", "spacing_wavelengths": float("inf")},
+    ],
+)
+def test_model_spec_rejects_non_finite_values(kwargs):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        CorrelationModelSpec(**kwargs)

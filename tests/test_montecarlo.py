@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from corrdiv import montecarlo
+from corrdiv import kernels, montecarlo
 from corrdiv.corrmodels import CorrelationModelSpec, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
+from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
     Scenario,
     empirical_cdf,
@@ -64,6 +65,19 @@ class TestScenarioValidation:
         scenario = exp_scenario(model=spec)
         assert scenario.measured_model is not None
         assert scenario.measured_model.spread_mean_deg == 14.02
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"rho_t_db": float("nan")},
+            {"rho_t_db": float("inf")},
+            {"sigma2": float("inf")},
+            {"sigma2": float("nan")},
+        ],
+    )
+    def test_rejects_non_finite_values(self, overrides):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            exp_scenario(**overrides)
 
     def test_transmit_power_conversion(self):
         assert exp_scenario(rho_t_db=10.0).rho_t_linear == pytest.approx(10.0)
@@ -157,6 +171,136 @@ class TestRunDrop:
         scenario = exp_scenario(m=4, l=2, model=DEGENERATE, n_fading=4, seed=3)
         with pytest.raises(RunFailureError, match="redraws"):
             run_drop(scenario, 0)
+
+
+ILL = np.array([np.inf, 0.0, 1.0])
+
+
+class KernelSpy:
+    """Wraps the Gram kernel: records every batch it sees and reports chosen
+    calls' trials as ill-conditioned.
+
+    ``flags`` maps a call index to the trials of that call to flag; call 0 is
+    the drop's full fading block, later calls are single-trial redraws.
+    """
+
+    def __init__(self, flags):
+        self.flags = flags
+        self.batches = []
+
+    def __call__(self, w, bh):
+        stats = kernels._eta_numpy(
+            np.ascontiguousarray(w), np.ascontiguousarray(bh, dtype=np.complex128)
+        )
+        for t in self.flags.get(len(self.batches), ()):
+            stats[t] = ILL
+        self.batches.append(np.array(w))
+        return stats
+
+
+class DrawSpy:
+    """Wraps draw_fading and records (generator, n_trials) per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, rng, n_terminals, n_antennas, n_trials=None):
+        self.calls.append((rng, n_trials))
+        return draw_fading(rng, n_terminals, n_antennas, n_trials=n_trials)
+
+
+class TestFadingStreams:
+    """RNG contract 2: lane 2 holds a drop's fading block, lane 3 its redraws."""
+
+    def spy(self, monkeypatch, flags):
+        kernel, draws, lanes = KernelSpy(flags), DrawSpy(), []
+        real_stream = montecarlo._stream
+
+        def stream(seed, drop, lane):
+            lanes.append(lane)
+            return real_stream(seed, drop, lane)
+
+        monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
+        monkeypatch.setattr(montecarlo, "draw_fading", draws)
+        monkeypatch.setattr(montecarlo, "_stream", stream)
+        return kernel, draws, lanes
+
+    def test_block_comes_from_lane_two_in_one_call(self, monkeypatch):
+        scenario = exp_scenario(n_fading=70)
+        kernel, draws, lanes = self.spy(monkeypatch, {})
+        drop = run_drop(scenario, 1)
+        assert drop.rejected_trials == 0
+        assert lanes == [0, 1, 2]  # the redraw lane is never opened
+        assert [n for _, n in draws.calls] == [70]
+        block = draw_fading(montecarlo._stream(9, 1, 2), 2, 8, n_trials=70)
+        assert np.array_equal(kernel.batches[0], block)
+
+    def test_redraws_come_from_lane_three_in_trial_order(self, monkeypatch):
+        scenario = exp_scenario(n_fading=100, seed=21)
+        # trials 5 and 2 fail the screen; trial 2's first redraw fails too
+        kernel, draws, lanes = self.spy(monkeypatch, {0: (2, 5), 1: (0,)})
+        drop = run_drop(scenario, 0, collect_instantaneous=True)
+
+        assert drop.rejected_trials == 3
+        assert lanes == [0, 1, 2, 3]
+        assert [n for _, n in draws.calls] == [100, None, None, None]
+        redraw_gens = {id(g) for g, _ in draws.calls[1:]}
+        assert len(redraw_gens) == 1
+
+        lane3 = montecarlo._stream(21, 0, 3)
+        expected = [draw_fading(lane3, 2, 8) for _ in range(3)]
+        for got, want in zip(kernel.batches[1:], expected):
+            assert np.array_equal(got, want[np.newaxis])
+
+        # trial 2 keeps the second lane-3 block, trial 5 the third; the
+        # others keep their lane-2 rows
+        block = kernel.batches[0].copy()
+        block[2], block[5] = expected[1], expected[2]
+        bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
+        inv_eta = 2 / kernels._eta_numpy(block, np.ascontiguousarray(bh))[:, 0]
+        betas = drop.link_gains
+        want_db = 10.0 * np.log10(np.outer(inv_eta, betas)).ravel()
+        np.testing.assert_allclose(drop.inst_snr_db, want_db, rtol=1e-12)
+
+    def test_redraw_cap_raises(self, monkeypatch):
+        cap = montecarlo._MAX_REDRAWS
+        flags = {0: (0,), **{k: (0,) for k in range(1, cap + 1)}}
+        _, draws, _ = self.spy(monkeypatch, flags)
+        with pytest.raises(RunFailureError, match=f"after {cap} redraws"):
+            run_drop(exp_scenario(n_fading=8), 0)
+        assert len(draws.calls) == 1 + cap
+
+    def test_scenarios_share_the_block_of_a_drop(self, monkeypatch):
+        kernel, _, _ = self.spy(monkeypatch, {})
+        run_drop(exp_scenario(n_fading=20), 3)
+        clerckx = CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0.0, 38.0))
+        run_drop(exp_scenario(n_fading=20, model=clerckx, rho_t_db=7.0), 3)
+        assert np.array_equal(kernel.batches[0], kernel.batches[1])
+
+
+class TestExponentialProfileCache:
+    def test_factor_runs_once_per_m_and_xi(self, monkeypatch):
+        montecarlo._exponential_profile.cache_clear()
+        calls = []
+        real = montecarlo.factor
+
+        def counting(r):
+            calls.append(r.order)
+            return real(r)
+
+        monkeypatch.setattr(montecarlo, "factor", counting)
+        try:
+            scenario = exp_scenario(n_drops=3)
+            first = [run_drop(scenario, d) for d in range(3)]
+            assert calls == [8]
+            _, bh = montecarlo._exponential_profile(8, 0.6)
+            assert not bh.flags.writeable
+        finally:
+            montecarlo._exponential_profile.cache_clear()
+        # the cached factor gives the same drops as a fresh one
+        again = [run_drop(scenario, d) for d in range(3)]
+        for a, b in zip(first, again):
+            assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
 
 
 class TestRunScenario:

@@ -46,6 +46,21 @@ class TestGeometryConfig:
         with pytest.raises(InvalidParameterError):
             GeometryConfig(attenuation_constant=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cell_radius_m",
+            "reference_distance_m",
+            "attenuation_exponent",
+            "shadowing_std_db",
+            "attenuation_constant",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GeometryConfig(**{field: value})
+
 
 class TestTerminalGeometry:
     def test_degenerate_annulus(self):
@@ -152,6 +167,21 @@ class TestAngularParams:
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(InvalidParameterError):
             MeasuredAngularModel(spread_floor_deg=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "spread_mean_deg",
+            "spread_std_deg",
+            "doa_low_deg",
+            "doa_high_deg",
+            "spread_floor_deg",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            MeasuredAngularModel(**{field: value})
 
 
 class TestCalibration:

@@ -28,6 +28,21 @@ def iid_channel(generator, l, m):
     return ChannelMatrix(draw_fading(generator, l, m))
 
 
+class TestDrawFading:
+    def test_batch_equals_successive_single_draws(self):
+        # 130 trials spans two full chunks and a partial one
+        batch = draw_fading(rng(4), 3, 5, n_trials=130)
+        g = rng(4)
+        singles = np.stack([draw_fading(g, 3, 5) for _ in range(130)])
+        assert batch.shape == (130, 3, 5)
+        assert np.array_equal(batch, singles)
+
+    def test_batch_reads_one_block_real_halves_first(self):
+        z = rng(5).standard_normal((130, 3, 10))
+        want = np.sqrt(0.5) * (z[..., :5] + 1j * z[..., 5:])
+        assert np.array_equal(draw_fading(rng(5), 3, 5, n_trials=130), want)
+
+
 class TestSampleChannel:
     def test_identity_covariance(self):
         factors = [factor(build_exponential(4, 0.0))] * 2
