@@ -1,14 +1,13 @@
-"""Time the numba and numpy Gram-statistics kernels on the same batch.
+"""Time the Gram-statistics kernel on one batch of fading trials.
 
 Usage:
     python benchmarks/bench_kernels.py [--m 64] [--l 6] [--trials 500] [--reps 5]
 
-The first numba call pays JIT compilation; a warmup run is excluded from the
-timing loop.
+A warmup call is excluded from the timing loop; the fastest repetition is
+reported.
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
@@ -20,21 +19,20 @@ from corrdiv.zfcore import draw_fading
 
 def make_batch(m, l, trials, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
-    w = np.stack([draw_fading(rng, l, m) for _ in range(trials)])
+    w = draw_fading(rng, l, m, n_trials=trials)
     bh_single = factor(build_exponential(m, 0.9)).factor.conj().T
     bh = np.ascontiguousarray(np.broadcast_to(bh_single, (l, m, m)))
     return w, bh
 
 
-def time_backend(name, w, bh, reps):
-    os.environ[kernels._ENV_VAR] = name
-    kernels.gram_eta_stats(w[:2], bh)  # warmup (JIT compile for numba)
+def time_kernel(w, bh, reps):
+    kernels.gram_eta_stats(w[:2], bh)  # warmup
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        out = kernels.gram_eta_stats(w, bh)
+        kernels.gram_eta_stats(w, bh)
         times.append(time.perf_counter() - start)
-    return out, min(times)
+    return min(times)
 
 
 def main():
@@ -47,22 +45,9 @@ def main():
 
     w, bh = make_batch(args.m, args.l, args.trials)
     print(f"batch: {args.trials} trials, L={args.l} terminals, M={args.m} antennas")
-
-    backends = ["numpy"] + (["numba"] if kernels._HAVE_NUMBA else [])
-    results = {}
-    for name in backends:
-        out, best = time_backend(name, w, bh, args.reps)
-        results[name] = (out, best)
-        per_trial_us = 1e6 * best / args.trials
-        print(f"{name:>6}: {best * 1e3:8.2f} ms per batch  ({per_trial_us:7.2f} us per trial)")
-
-    if len(results) == 2:
-        a, b = results["numpy"], results["numba"]
-        if not np.allclose(a[0], b[0], rtol=1e-9, atol=1e-12):
-            raise SystemExit("backends disagree; benchmark aborted")
-        print(f"speedup: numba is {a[1] / b[1]:.2f}x vs numpy")
-    else:
-        print("numba unavailable; timed numpy only")
+    best = time_kernel(w, bh, args.reps)
+    per_trial_us = 1e6 * best / args.trials
+    print(f"{best * 1e3:8.2f} ms per batch  ({per_trial_us:7.2f} us per trial)")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .errors import CorrDivError, InvalidParameterError, ScenarioError
 from .montecarlo import (
     RNG_CONTRACT,
     Scenario,
+    collect_instantaneous_snr_db,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
@@ -28,28 +29,43 @@ from .propagation import (
     GeometryConfig,
     MeasuredAngularModel,
     calibrate_attenuation_constant,
+    calibration_baseline,
 )
 
+# YAML key -> dataclass field it sets, for the sections made of plain numbers
+_MEASURED_FIELDS = {key: key for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")}
+_GEOMETRY_FIELDS = {
+    "cell_radius_m": "cell_radius_m",
+    "reference_distance_m": "reference_distance_m",
+    "alpha": "attenuation_exponent",
+    "sigma_sh_db": "shadowing_std_db",
+    "attenuation_constant": "attenuation_constant",
+}
 _TOP_KEYS = {"rng_contract", "m", "l", "rho_t_db", "sigma2", "model", "geometry", "run"}
 _MODEL_KEYS = {
-    "type",
-    "xi",
-    "phase_range_deg",
-    "angular_spread_deg",
-    "mean_doa",
-    "spacing_wavelengths",
-    "measured",
-}
-_MEASURED_KEYS = {"spread_mean_deg", "spread_std_deg", "spread_floor_deg"}
-_GEOMETRY_KEYS = {
-    "cell_radius_m",
-    "reference_distance_m",
-    "alpha",
-    "sigma_sh_db",
-    "attenuation_constant",
-    "calibrate",
+    "exponential": {"type", "xi"},
+    "clerckx": {"type", "xi", "phase_range_deg"},
+    "one_ring": {"type", "angular_spread_deg", "mean_doa", "spacing_wavelengths", "measured"},
 }
 _RUN_KEYS = {"n_drops", "n_fading", "seed"}
+# the key path of each Scenario and CorrelationModelSpec field a file sets
+_SCENARIO_KEYS = {
+    "m": ("m",),
+    "l": ("l",),
+    "rho_t_db": ("rho_t_db",),
+    "sigma2": ("sigma2",),
+    **{field: ("run", field) for field in _RUN_KEYS},
+}
+_SPEC_KEYS = {
+    "variant": ("model", "type"),
+    "xi": ("model", "xi"),
+    "phase_range_deg": ("model", "phase_range_deg"),
+    "phase_range_low_deg": ("model", "phase_range_deg", 0),
+    "phase_range_high_deg": ("model", "phase_range_deg", 1),
+    "angular_spread_deg": ("model", "angular_spread_deg"),
+    "mean_doa_deg": ("model", "mean_doa"),
+    "spacing_wavelengths": ("model", "spacing_wavelengths"),
+}
 
 
 def _collect_marks(node, path, marks):
@@ -63,7 +79,11 @@ def _collect_marks(node, path, marks):
 
 
 class _Parser:
-    """Schema walker that turns violations into located ScenarioErrors."""
+    """Schema walker that turns violations into located ScenarioErrors.
+
+    It checks the file's shape and types only; value ranges are the
+    dataclasses' to check, and ``build`` locates their errors.
+    """
 
     def __init__(self, path, data, marks):
         self.path = str(path)
@@ -85,15 +105,19 @@ class _Parser:
                 self.fail(keys, f"missing required key {key!r}")
         return value
 
-    def number(self, mapping, keys, key, default=None):
+    def number(self, mapping, keys, key):
         if key not in mapping:
-            if default is None:
-                self.fail(keys, f"missing required key {key!r}")
-            return default
+            self.fail(keys, f"missing required key {key!r}")
         value = mapping[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(keys + (key,), f"expected a number, got {value!r}")
         return float(value)
+
+    def numbers(self, mapping, keys, fields):
+        """The numbers present in ``mapping``, keyed by the field each key sets."""
+        return {
+            field: self.number(mapping, keys, key) for key, field in fields.items() if key in mapping
+        }
 
     def integer(self, mapping, keys, key):
         if key not in mapping:
@@ -103,29 +127,44 @@ class _Parser:
             self.fail(keys + (key,), f"expected an integer, got {value!r}")
         return value
 
+    def build(self, cls, keys, field_keys, **kwargs):
+        """``cls(**kwargs)``, with a rejected value reported at the key that set
+        its field (``field_keys`` maps field to key path), or at ``keys``."""
+        try:
+            return cls(**kwargs)
+        except InvalidParameterError as exc:
+            at = field_keys.get(exc.field, keys)
+            while at not in self.marks:
+                at = at[:-1]
+            self.fail(at, str(exc))
+
+    def section(self, cls, mapping, keys, fields):
+        """``cls`` built from the numbers of one section, one per field."""
+        field_keys = {field: keys + (key,) for key, field in fields.items()}
+        return self.build(cls, keys, field_keys, **self.numbers(mapping, keys, fields))
+
+
+def _tagged(p: _Parser, raw, keys, key, tag):
+    """A number, or a string tag that the model spec checks."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        p.fail(keys + (key,), f"expected a number or {tag!r}, got {value!r}")
+    return value if isinstance(value, str) else float(value)
+
 
 def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
     keys = ("model",)
-    raw = p.mapping(raw, keys, _MODEL_KEYS, {"type"})
+    raw = p.mapping(raw, keys, set().union(*_MODEL_KEYS.values()), {"type"})
     variant = raw["type"]
-    if variant not in ("exponential", "clerckx", "one_ring"):
+    if not isinstance(variant, str) or variant not in _MODEL_KEYS:
         p.fail(keys + ("type",), f"unknown model type {variant!r}")
-
-    allowed_for = {
-        "exponential": {"type", "xi"},
-        "clerckx": {"type", "xi", "phase_range_deg"},
-        "one_ring": {"type", "angular_spread_deg", "mean_doa", "spacing_wavelengths", "measured"},
-    }[variant]
     for key in raw:
-        if key not in allowed_for:
+        if key not in _MODEL_KEYS[variant]:
             p.fail(keys + (key,), f"key {key!r} does not apply to model type {variant!r}")
 
     kwargs = {"variant": variant}
     if variant in ("exponential", "clerckx"):
-        xi = p.number(raw, keys, "xi")
-        if not 0 <= xi <= 1:
-            p.fail(keys + ("xi",), f"xi must be in [0, 1], got {xi}")
-        kwargs["xi"] = xi
+        kwargs["xi"] = p.number(raw, keys, "xi")
     if variant == "clerckx":
         rng = raw.get("phase_range_deg")
         if (
@@ -138,50 +177,18 @@ def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
     if variant == "one_ring":
         if "angular_spread_deg" not in raw:
             p.fail(keys, "missing required key 'angular_spread_deg'")
-        spread = raw["angular_spread_deg"]
-        if isinstance(spread, str):
-            if spread != "measured":
-                p.fail(keys + ("angular_spread_deg",), f"expected a number or 'measured', got {spread!r}")
-            kwargs["angular_spread_deg"] = spread
-        elif isinstance(spread, bool) or not isinstance(spread, (int, float)):
-            p.fail(keys + ("angular_spread_deg",), f"expected a number or 'measured', got {spread!r}")
-        else:
-            kwargs["angular_spread_deg"] = float(spread)
-        doa = raw.get("mean_doa", "uniform")
-        if isinstance(doa, str):
-            if doa != "uniform":
-                p.fail(keys + ("mean_doa",), f"expected a number or 'uniform', got {doa!r}")
-            kwargs["mean_doa_deg"] = doa
-        elif isinstance(doa, bool) or not isinstance(doa, (int, float)):
-            p.fail(keys + ("mean_doa",), f"expected a number or 'uniform', got {doa!r}")
-        else:
-            kwargs["mean_doa_deg"] = float(doa)
-        kwargs["spacing_wavelengths"] = p.number(raw, keys, "spacing_wavelengths", default=0.5)
+        kwargs["angular_spread_deg"] = _tagged(p, raw, keys, "angular_spread_deg", "measured")
+        if "mean_doa" in raw:
+            kwargs["mean_doa_deg"] = _tagged(p, raw, keys, "mean_doa", "uniform")
+        kwargs.update(p.numbers(raw, keys, {"spacing_wavelengths": "spacing_wavelengths"}))
         if "measured" in raw and raw["angular_spread_deg"] != "measured":
             p.fail(keys + ("measured",), "measured block requires angular_spread_deg: measured")
-
-    try:
-        return CorrelationModelSpec(**kwargs)
-    except InvalidParameterError as exc:
-        p.fail(keys, str(exc))
-
-
-def _parse_measured(p: _Parser, raw) -> MeasuredAngularModel:
-    keys = ("model", "measured")
-    raw = p.mapping(raw, keys, _MEASURED_KEYS, set())
-    try:
-        return MeasuredAngularModel(
-            spread_mean_deg=p.number(raw, keys, "spread_mean_deg", default=14.02),
-            spread_std_deg=p.number(raw, keys, "spread_std_deg", default=6.45),
-            spread_floor_deg=p.number(raw, keys, "spread_floor_deg", default=1.0),
-        )
-    except InvalidParameterError as exc:
-        p.fail(keys, str(exc))
+    return p.build(CorrelationModelSpec, keys, _SPEC_KEYS, **kwargs)
 
 
 def _parse_geometry(p: _Parser, raw):
     keys = ("geometry",)
-    raw = p.mapping(raw, keys, _GEOMETRY_KEYS, set())
+    raw = p.mapping(raw, keys, set(_GEOMETRY_FIELDS) | {"calibrate"}, set())
     calibrate = raw.get("calibrate", False)
     if not isinstance(calibrate, bool):
         p.fail(keys + ("calibrate",), f"expected true or false, got {calibrate!r}")
@@ -189,19 +196,8 @@ def _parse_geometry(p: _Parser, raw):
         p.fail(keys, "give either attenuation_constant or calibrate: true, not both")
     if not calibrate and "attenuation_constant" not in raw:
         p.fail(keys, "geometry needs attenuation_constant or calibrate: true")
-    try:
-        config = GeometryConfig(
-            cell_radius_m=p.number(raw, keys, "cell_radius_m", default=500.0),
-            reference_distance_m=p.number(raw, keys, "reference_distance_m", default=50.0),
-            attenuation_exponent=p.number(raw, keys, "alpha", default=3.67),
-            shadowing_std_db=p.number(raw, keys, "sigma_sh_db", default=6.0),
-            attenuation_constant=(
-                1.0 if calibrate else p.number(raw, keys, "attenuation_constant")
-            ),
-        )
-    except InvalidParameterError as exc:
-        p.fail(keys, str(exc))
-    return config, calibrate
+    # with calibrate: true the constant keeps GeometryConfig's placeholder
+    return p.section(GeometryConfig, raw, keys, _GEOMETRY_FIELDS), calibrate
 
 
 def load_scenario_file(path):
@@ -240,36 +236,32 @@ def load_scenario_file(path):
         )
     m = p.integer(data, (), "m")
     l = p.integer(data, (), "l")
-    rho_t_db = p.number(data, (), "rho_t_db", default=0.0)
-    sigma2 = p.number(data, (), "sigma2", default=1.0)
+    noise = p.numbers(data, (), {"rho_t_db": "rho_t_db", "sigma2": "sigma2"})
 
     model = _parse_model(p, data["model"])
     measured = None
     if isinstance(data["model"], dict) and "measured" in data["model"]:
-        measured = _parse_measured(p, data["model"]["measured"])
+        keys = ("model", "measured")
+        raw = p.mapping(data["model"]["measured"], keys, set(_MEASURED_FIELDS), set())
+        measured = p.section(MeasuredAngularModel, raw, keys, _MEASURED_FIELDS)
     geometry, wants_calibration = _parse_geometry(p, data["geometry"])
 
     run_keys = ("run",)
     run_raw = p.mapping(data["run"], run_keys, _RUN_KEYS, _RUN_KEYS)
-    n_drops = p.integer(run_raw, run_keys, "n_drops")
-    n_fading = p.integer(run_raw, run_keys, "n_fading")
-    seed = p.integer(run_raw, run_keys, "seed")
+    sizes = {key: p.integer(run_raw, run_keys, key) for key in ("n_drops", "n_fading", "seed")}
 
-    try:
-        scenario = Scenario(
-            m=m,
-            l=l,
-            model=model,
-            n_drops=n_drops,
-            n_fading=n_fading,
-            seed=seed,
-            rho_t_db=rho_t_db,
-            sigma2=sigma2,
-            geometry=geometry,
-            measured_model=measured,
-        )
-    except InvalidParameterError as exc:
-        p.fail((), str(exc))
+    scenario = p.build(
+        Scenario,
+        (),
+        _SCENARIO_KEYS,
+        m=m,
+        l=l,
+        model=model,
+        geometry=geometry,
+        measured_model=measured,
+        **noise,
+        **sizes,
+    )
     return scenario, wants_calibration
 
 
@@ -322,19 +314,7 @@ def _fmt(value) -> str:
 def _resolve_attenuation(scenario: Scenario) -> float:
     """Calibrate A on the reference configuration under this scenario's
     geometry, noise power, seed, and Monte Carlo sizes."""
-    baseline = Scenario(
-        m=64,
-        l=6,
-        model=CorrelationModelSpec(variant="exponential", xi=0.9),
-        n_drops=scenario.n_drops,
-        n_fading=scenario.n_fading,
-        seed=scenario.seed,
-        rho_t_db=0.0,
-        sigma2=scenario.sigma2,
-        geometry=replace(scenario.geometry, attenuation_constant=1.0),
-        radial_law=scenario.radial_law,
-    )
-    return calibrate_attenuation_constant(baseline)
+    return calibrate_attenuation_constant(calibration_baseline(scenario))
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -497,20 +477,7 @@ def cmd_calibrate(args) -> int:
     )
 
     # measure the achieved percentile at the calibrated constant
-    from .montecarlo import collect_instantaneous_snr_db
-
-    baseline = Scenario(
-        m=64,
-        l=6,
-        model=CorrelationModelSpec(variant="exponential", xi=0.9),
-        n_drops=resolved.n_drops,
-        n_fading=resolved.n_fading,
-        seed=resolved.seed,
-        rho_t_db=0.0,
-        sigma2=resolved.sigma2,
-        geometry=resolved.geometry,
-        radial_law=resolved.radial_law,
-    )
+    baseline = calibration_baseline(resolved)
     achieved = percentile(collect_instantaneous_snr_db(baseline, workers=args.workers), 5.0)
 
     out = Path(args.out)

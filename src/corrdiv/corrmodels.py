@@ -92,7 +92,9 @@ class CorrelationModelSpec:
 
     def __post_init__(self):
         if self.variant not in ("exponential", "clerckx", "one_ring"):
-            raise InvalidParameterError(f"unknown correlation model variant {self.variant!r}")
+            raise InvalidParameterError(
+                f"unknown correlation model variant {self.variant!r}", field="variant"
+            )
         lo, hi = self.phase_range_deg
         tagged = {"angular_spread_deg": self.angular_spread_deg, "mean_doa_deg": self.mean_doa_deg}
         require_finite(
@@ -103,21 +105,29 @@ class CorrelationModelSpec:
             **{k: v for k, v in tagged.items() if not isinstance(v, str)},
         )
         if self.variant in ("exponential", "clerckx") and not 0 <= self.xi <= 1:
-            raise InvalidParameterError(f"xi must be in [0, 1], got {self.xi}")
+            raise InvalidParameterError(f"xi must be in [0, 1], got {self.xi}", field="xi")
         if lo > hi:
-            raise InvalidParameterError(f"phase range must be ordered, got ({lo}, {hi})")
+            raise InvalidParameterError(
+                f"phase range must be ordered, got ({lo}, {hi})", field="phase_range_deg"
+            )
         if self.variant == "one_ring":
             s = self.angular_spread_deg
             if isinstance(s, str):
                 if s != "measured":
-                    raise InvalidParameterError(f"unknown angular spread tag {s!r}")
+                    raise InvalidParameterError(
+                        f"unknown angular spread tag {s!r}", field="angular_spread_deg"
+                    )
             elif not 0 < s <= 180:
-                raise InvalidParameterError(f"angular spread must be in (0, 180] deg, got {s}")
+                raise InvalidParameterError(
+                    f"angular spread must be in (0, 180] deg, got {s}", field="angular_spread_deg"
+                )
             d = self.mean_doa_deg
             if isinstance(d, str) and d != "uniform":
-                raise InvalidParameterError(f"unknown mean DOA tag {d!r}")
+                raise InvalidParameterError(f"unknown mean DOA tag {d!r}", field="mean_doa_deg")
             if self.spacing_wavelengths <= 0:
-                raise InvalidParameterError("element spacing must be positive")
+                raise InvalidParameterError(
+                    "element spacing must be positive", field="spacing_wavelengths"
+                )
 
 
 def _hermitian_toeplitz(col):
@@ -195,7 +205,9 @@ def build_one_ring(
             f"angular spread must be in (0, 180] deg, got {angular_spread_deg}"
         )
     if spacing_wavelengths <= 0:
-        raise InvalidParameterError("element spacing must be positive")
+        raise InvalidParameterError(
+                    "element spacing must be positive", field="spacing_wavelengths"
+                )
 
     spread = np.deg2rad(angular_spread_deg)
     mean = np.deg2rad(mean_doa_deg)

@@ -8,14 +8,22 @@ class CorrDivError(Exception):
 
 
 class InvalidParameterError(CorrDivError):
-    """A constructor or operation received an out-of-contract argument."""
+    """A constructor or operation received an out-of-contract argument.
+
+    ``field`` names the dataclass field that failed, when one did, so a
+    parser can point at the input that set it.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 def require_finite(**values):
     """Raise ``InvalidParameterError`` naming the first non-finite value."""
     for name, value in values.items():
         if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
+            raise InvalidParameterError(f"{name} must be finite, got {value}", field=name)
 
 
 class DimensionMismatchError(CorrDivError):
@@ -32,10 +40,6 @@ class QuadratureNonconvergenceError(CorrDivError):
 
 class IllConditionedChannelError(CorrDivError):
     """Gram matrix condition number exceeds the rejection threshold."""
-
-
-class CalibrationError(CorrDivError):
-    """Attenuation-constant calibration failed to converge."""
 
 
 class ScenarioError(CorrDivError):

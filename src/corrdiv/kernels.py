@@ -1,26 +1,13 @@
 """Hot loop for batched correlated-channel Gram statistics.
 
-Two interchangeable backends compute, for every fading trial, the trace of
-the inverse Gram matrix plus its extremal eigenvalues (used for condition
-screening): a numba ``@njit`` kernel and a pure-numpy path. Selection order:
-``CORRDIV_BACKEND`` environment variable (``numba`` or ``numpy``), else numba
-when importable, else numpy. ``benchmarks/bench_kernels.py`` times both.
+For every fading trial the kernel computes the trace of the inverse Gram
+matrix plus its extremal eigenvalues (used for condition screening) in one
+batched numpy pass. ``benchmarks/bench_kernels.py`` times it.
 """
-
-import os
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-_ENV_VAR = "CORRDIV_BACKEND"
 
 
 def _eta_numpy(w, bh):
@@ -36,41 +23,6 @@ def _eta_numpy(w, bh):
     ok = lam_min > 0
     trace_inv[ok] = np.sum(1.0 / lam[ok], axis=1)
     return np.stack([trace_inv, lam_min, lam_max], axis=1)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eta_njit(w, bh):  # pragma: no cover - measured via dispatch tests
-        n, n_term, n_ant = w.shape
-        out = np.empty((n, 3))
-        h = np.empty((n_term, n_ant), dtype=np.complex128)
-        for t in range(n):
-            for l in range(n_term):
-                h[l, :] = w[t, l, :] @ bh[l]
-            gram = h @ np.conj(h.T)
-            lam = np.linalg.eigvalsh(gram)
-            if lam[0] > 0:
-                out[t, 0] = np.sum(1.0 / lam)
-            else:
-                out[t, 0] = np.inf
-            out[t, 1] = lam[0]
-            out[t, 2] = lam[-1]
-        return out
-
-
-def active_backend() -> str:
-    """Resolve the backend name currently in effect."""
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if requested == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if requested == "numba":
-        if not _HAVE_NUMBA:
-            raise InvalidParameterError("CORRDIV_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    raise InvalidParameterError(f"unknown CORRDIV_BACKEND value {requested!r}")
 
 
 def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
@@ -90,6 +42,4 @@ def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"incompatible kernel shapes: w {w.shape}, bh {bh.shape}"
         )
-    if active_backend() == "numba":
-        return _eta_njit(w, bh)
     return _eta_numpy(w, bh)

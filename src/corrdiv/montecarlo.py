@@ -66,15 +66,25 @@ class Scenario:
     def __post_init__(self):
         require_finite(rho_t_db=self.rho_t_db, sigma2=self.sigma2)
         if self.m < 1 or self.l < 1 or self.l > self.m:
-            raise InvalidParameterError(f"need M >= L >= 1, got M={self.m}, L={self.l}")
+            raise InvalidParameterError(
+                f"need M >= L >= 1, got M={self.m}, L={self.l}",
+                field="m" if self.m < 1 else "l",
+            )
         if self.n_drops < 1 or self.n_fading < 1:
-            raise InvalidParameterError("n_drops and n_fading must be >= 1")
+            raise InvalidParameterError(
+                "n_drops and n_fading must be >= 1",
+                field="n_drops" if self.n_drops < 1 else "n_fading",
+            )
         if not 0 <= self.seed < 2**64:
-            raise InvalidParameterError("seed must fit in an unsigned 64-bit integer")
+            raise InvalidParameterError(
+                "seed must fit in an unsigned 64-bit integer", field="seed"
+            )
         if self.sigma2 <= 0:
-            raise InvalidParameterError("sigma2 must be positive")
+            raise InvalidParameterError("sigma2 must be positive", field="sigma2")
         if self.radial_law not in ("area", "radius"):
-            raise InvalidParameterError(f"unknown radial law {self.radial_law!r}")
+            raise InvalidParameterError(
+                f"unknown radial law {self.radial_law!r}", field="radial_law"
+            )
         if self.model.angular_spread_deg == "measured" and self.measured_model is None:
             object.__setattr__(self, "measured_model", MeasuredAngularModel())
 
@@ -160,9 +170,10 @@ def _terminal_correlations(scenario: Scenario, rng):
     return rs, params
 
 
-def _condition_ok(stats_row) -> bool:
-    trace_inv, lam_min, lam_max = stats_row
-    return bool(np.isfinite(trace_inv) and lam_min > 0 and lam_max <= COND_MAX * lam_min)
+def _conditioned(stats: np.ndarray) -> np.ndarray:
+    """Mask of the trials whose Gram statistics pass the condition screen."""
+    trace_inv, lam_min, lam_max = stats.T
+    return np.isfinite(trace_inv) & (lam_min > 0) & (lam_max <= COND_MAX * lam_min)
 
 
 def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = False) -> DropResult:
@@ -201,17 +212,16 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
 
     rejected = 0
     gen_redraw = None
-    for t in range(scenario.n_fading):
-        if _condition_ok(stats[t]):
-            continue
+    for t in np.flatnonzero(~_conditioned(stats)):
         if gen_redraw is None:
             gen_redraw = _stream(seed, drop_index, _REDRAW_LANE)
         # every attempt takes the next single-trial block of the redraw lane
         for _ in range(_MAX_REDRAWS):
             rejected += 1
             w_t = draw_fading(gen_redraw, n_term, n_ant)
-            stats[t] = kernels.gram_eta_stats(w_t[np.newaxis], bh)[0]
-            if _condition_ok(stats[t]):
+            row = kernels.gram_eta_stats(w_t[np.newaxis], bh)
+            stats[t] = row[0]
+            if _conditioned(row)[0]:
                 break
         else:
             raise RunFailureError(

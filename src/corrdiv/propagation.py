@@ -1,16 +1,27 @@
-"""Terminal geometry, shadowing, link gains, and angular-parameter draws.
+"""Terminal geometry, shadowing, link gains, and angular-spread draws.
 
 Link gain model: beta = A * zeta * (r0 / r)^alpha with lognormal shadowing
 zeta (10*log10(zeta) ~ N(0, sigma_sh^2)). The attenuation constant A is
 calibrated so that the 5th percentile of instantaneous ZF SNR hits 0 dB on
-the reference configuration (M=64, L=6, exponential xi=0.9, rho_t=0 dB).
+the reference configuration, ``_REFERENCE``.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, InvalidParameterError, require_finite
+from .corrmodels import CorrelationModelSpec
+from .errors import InvalidParameterError, require_finite
+
+# the configuration calibration solves on; a scenario keeps its geometry,
+# noise power, seed, run sizes and radial law
+_REFERENCE = {
+    "m": 64,
+    "l": 6,
+    "rho_t_db": 0.0,
+    "model": CorrelationModelSpec(variant="exponential", xi=0.9),
+    "measured_model": None,
+}
 
 
 @dataclass(frozen=True)
@@ -32,14 +43,19 @@ class GeometryConfig:
         if not 0 < self.reference_distance_m < self.cell_radius_m:
             raise InvalidParameterError(
                 f"need 0 < r0 < cell radius, got r0={self.reference_distance_m}, "
-                f"Rc={self.cell_radius_m}"
+                f"Rc={self.cell_radius_m}",
+                field="reference_distance_m",
             )
         if self.attenuation_exponent <= 0:
-            raise InvalidParameterError("attenuation exponent must be positive")
+            raise InvalidParameterError(
+                "attenuation exponent must be positive", field="attenuation_exponent"
+            )
         if self.shadowing_std_db < 0:
-            raise InvalidParameterError("shadowing std cannot be negative")
+            raise InvalidParameterError("shadowing std cannot be negative", field="shadowing_std_db")
         if self.attenuation_constant <= 0:
-            raise InvalidParameterError("attenuation constant must be positive")
+            raise InvalidParameterError(
+                "attenuation constant must be positive", field="attenuation_constant"
+            )
 
 
 @dataclass(frozen=True)
@@ -59,28 +75,22 @@ class TerminalProfile:
 
 @dataclass(frozen=True)
 class MeasuredAngularModel:
-    """Fitted azimuth statistics: spread N(14.02, 6.45^2) deg, DOA U[-180, 180]."""
+    """Fitted angular-spread statistics: N(14.02, 6.45^2) deg, floored."""
 
     spread_mean_deg: float = 14.02
     spread_std_deg: float = 6.45
-    doa_low_deg: float = -180.0
-    doa_high_deg: float = 180.0
     spread_floor_deg: float = 1.0
 
     def __post_init__(self):
         require_finite(
             spread_mean_deg=self.spread_mean_deg,
             spread_std_deg=self.spread_std_deg,
-            doa_low_deg=self.doa_low_deg,
-            doa_high_deg=self.doa_high_deg,
             spread_floor_deg=self.spread_floor_deg,
         )
         if self.spread_floor_deg <= 0:
-            raise InvalidParameterError("spread floor must be positive")
+            raise InvalidParameterError("spread floor must be positive", field="spread_floor_deg")
         if self.spread_std_deg < 0:
-            raise InvalidParameterError("spread std cannot be negative")
-        if self.doa_low_deg > self.doa_high_deg:
-            raise InvalidParameterError("DOA interval must be ordered")
+            raise InvalidParameterError("spread std cannot be negative", field="spread_std_deg")
 
 
 def sample_terminal_geometry(config: GeometryConfig, rng, radial_law: str = "area"):
@@ -120,48 +130,35 @@ def sample_link_gain(config: GeometryConfig, distance_m: float, rng):
     return float(zeta), float(beta)
 
 
-def sample_angular_params(model: MeasuredAngularModel, rng):
-    """Per-terminal (angular spread, mean DOA) from the measured fits.
-
-    The DOA is drawn first, then the spread is redrawn until it clears the
-    floor, so a caller consuming one stream per terminal keeps DOA draws
-    aligned regardless of how many spread redraws occur.
-    """
-    doa = float(rng.uniform(model.doa_low_deg, model.doa_high_deg))
-    spread = draw_truncated_spread(model, rng)
-    return spread, doa
-
-
 def draw_truncated_spread(model: MeasuredAngularModel, rng) -> float:
+    """One angular spread from the measured fit, redrawn until it clears the floor."""
     while True:
         spread = rng.normal(model.spread_mean_deg, model.spread_std_deg)
         if spread >= model.spread_floor_deg:
             return float(spread)
 
 
+def calibration_baseline(scenario):
+    """The reference configuration under ``scenario``'s geometry, noise power,
+    seed, run sizes and radial law."""
+    return replace(scenario, **_REFERENCE)
+
+
 def _require_baseline(scenario):
-    model = scenario.model
-    ok = (
-        scenario.m == 64
-        and scenario.l == 6
-        and scenario.rho_t_db == 0
-        and model.variant == "exponential"
-        and model.xi == 0.9
-    )
-    if not ok:
+    if calibration_baseline(scenario) != scenario:
+        ref = _REFERENCE
         raise InvalidParameterError(
-            "calibration requires the reference configuration: M=64, L=6, "
-            "rho_t=0 dB, exponential model with xi=0.9"
+            f"calibration requires the reference configuration: M={ref['m']}, "
+            f"L={ref['l']}, rho_t={ref['rho_t_db']:g} dB, {ref['model'].variant} model "
+            f"with xi={ref['model'].xi}"
         )
 
 
-def calibrate_attenuation_constant(baseline, method: str = "rescale") -> float:
+def calibrate_attenuation_constant(baseline) -> float:
     """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
 
     Instantaneous SNR is exactly linear in A, so one Monte Carlo pass at A=1
-    plus a rescale solves the problem; ``method="bisection"`` reruns the
-    percentile search by bisection over the same samples as a cross-check
-    oracle. Deterministic given the scenario seed.
+    plus a rescale solves the problem. Deterministic given the scenario seed.
     """
     from .montecarlo import collect_instantaneous_snr_db
 
@@ -171,21 +168,4 @@ def calibrate_attenuation_constant(baseline, method: str = "rescale") -> float:
     )
     samples_db = collect_instantaneous_snr_db(unit)
     p5_db = float(np.percentile(samples_db, 5.0))
-
-    if method == "rescale":
-        return 10.0 ** (-p5_db / 10.0)
-    if method == "bisection":
-        lo, hi = -12.0, 12.0  # log10(A) bracket
-        shift = lambda log_a: p5_db + 10.0 * log_a  # noqa: E731 - tiny local map
-        if shift(lo) > 0 or shift(hi) < 0:
-            raise CalibrationError("bisection bracket does not contain the target")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if abs(shift(mid)) <= 1e-9:
-                return 10.0**mid
-            if shift(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        raise CalibrationError("bisection did not converge within 60 iterations")
-    raise InvalidParameterError(f"unknown calibration method {method!r}")
+    return 10.0 ** (-p5_db / 10.0)

@@ -1,7 +1,6 @@
 """End-to-end CLI tests driven through main(argv) in-process."""
 
 import csv
-import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +117,27 @@ class TestRunCommand:
         assert "aborted" in capsys.readouterr().err
 
 
+# every section sets a value, each on its own line
+LOCATED = """\
+m: 8
+l: 2
+rho_t_db: 5.0
+model:
+  type: one_ring
+  angular_spread_deg: measured
+  spacing_wavelengths: 0.5
+  measured:
+    spread_floor_deg: 1.0
+geometry:
+  alpha: 3.67
+  attenuation_constant: 1.0
+run:
+  n_drops: 2
+  n_fading: 10
+  seed: 7
+"""
+
+
 class TestValidation:
     def test_out_of_range_xi_names_the_key(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, MINIMAL.replace("xi: 0.6", "xi: 1.5"))
@@ -134,8 +154,29 @@ class TestValidation:
         code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert re.search(rf"{re.escape(str(scenario))}:\d+:", err)
-        assert "rho_t_db must be finite" in err
+        # the error sits on rho_t_db's own line, not the document's first key
+        line = text.splitlines().index("rho_t_db: 5.0") + 1
+        assert line == 4
+        assert f"{scenario}:{line}: rho_t_db: rho_t_db must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "label, value",
+        [
+            ("rho_t_db", ".inf"),
+            ("model.spacing_wavelengths", "-0.5"),
+            ("geometry.alpha", ".nan"),
+            ("model.measured.spread_floor_deg", "0.0"),
+        ],
+    )
+    def test_rejected_value_is_located_at_its_key(self, tmp_path, capsys, label, value):
+        key = label.rsplit(".", 1)[-1]
+        lines = LOCATED.splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.strip().startswith(f"{key}:"))
+        lines[line - 1] = lines[line - 1].split(":")[0] + f": {value}"
+        scenario = write_scenario(tmp_path, "\n".join(lines) + "\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"{scenario}:{line}: {label}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1", "3", "true", "'2'"])

@@ -1,11 +1,10 @@
-"""Backend dispatch and numba/numpy agreement for the Gram-statistics kernel."""
+"""Shape checks and numerical results of the Gram-statistics kernel."""
 
 import numpy as np
 import pytest
 
-from corrdiv import kernels
 from corrdiv.errors import InvalidParameterError
-from corrdiv.kernels import active_backend, gram_eta_stats
+from corrdiv.kernels import gram_eta_stats
 from corrdiv.zfcore import draw_fading
 
 
@@ -23,30 +22,6 @@ def random_batch(n_trials=16, l=3, m=8, seed=0):
 
 
 class TestDispatch:
-    def test_default_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv(kernels._ENV_VAR, raising=False)
-        expected = "numba" if kernels._HAVE_NUMBA else "numpy"
-        assert active_backend() == expected
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_env_flag_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, " NumPy ")
-        assert active_backend() == "numpy"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, "fortran")
-        with pytest.raises(InvalidParameterError, match="fortran"):
-            active_backend()
-
-    def test_requesting_numba_without_numba_fails(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, "numba")
-        monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-        with pytest.raises(InvalidParameterError, match="not importable"):
-            active_backend()
-
     def test_shape_mismatch_rejected(self):
         w = np.zeros((4, 2, 8), dtype=np.complex128)
         bh = np.zeros((3, 8, 8), dtype=np.complex128)
@@ -54,33 +29,8 @@ class TestDispatch:
             gram_eta_stats(w, bh)
 
 
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_backends_agree_on_random_batch(self, monkeypatch):
-        w, bh = random_batch()
-        monkeypatch.setenv(kernels._ENV_VAR, "numpy")
-        via_numpy = gram_eta_stats(w, bh)
-        monkeypatch.setenv(kernels._ENV_VAR, "numba")
-        via_numba = gram_eta_stats(w, bh)
-        assert np.allclose(via_numba, via_numpy, rtol=1e-9, atol=1e-12)
-
-    def test_backends_agree_on_identity_factors(self, monkeypatch):
-        rng = np.random.Generator(np.random.Philox(5))
-        w = np.stack([draw_fading(rng, 2, 4) for _ in range(8)])
-        bh = np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4))
-        monkeypatch.setenv(kernels._ENV_VAR, "numpy")
-        via_numpy = gram_eta_stats(w, bh)
-        monkeypatch.setenv(kernels._ENV_VAR, "numba")
-        via_numba = gram_eta_stats(w, bh)
-        assert np.allclose(via_numba, via_numpy, rtol=1e-9, atol=1e-12)
-        # Tr[(WW^H)^-1] for identity factors: check one trial by hand
-        gram = w[0] @ w[0].conj().T
-        assert via_numpy[0, 0] == pytest.approx(np.trace(np.linalg.inv(gram)).real)
-
-
 class TestNumpyPath:
-    def test_singular_gram_reports_inf(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, "numpy")
+    def test_singular_gram_reports_inf(self):
         w = np.zeros((1, 2, 4), dtype=np.complex128)
         w[0, 0] = w[0, 1] = np.array([1.0, 0.0, 0.0, 0.0])
         bh = np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4))
@@ -88,9 +38,17 @@ class TestNumpyPath:
         assert np.isinf(stats[0, 0])
         assert stats[0, 1] <= 0 or stats[0, 1] < 1e-12 * stats[0, 2]
 
-    def test_eigenvalue_ordering(self, monkeypatch):
-        monkeypatch.setenv(kernels._ENV_VAR, "numpy")
+    def test_eigenvalue_ordering(self):
         w, bh = random_batch(n_trials=6, seed=2)
         stats = gram_eta_stats(w, bh)
         assert np.all(stats[:, 1] <= stats[:, 2])
         assert np.all(stats[:, 0] > 0)
+
+    def test_identity_factors_give_the_inverse_trace(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        w = np.stack([draw_fading(rng, 2, 4) for _ in range(8)])
+        bh = np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4))
+        stats = gram_eta_stats(w, bh)
+        for t in range(8):
+            gram = w[t] @ w[t].conj().T
+            assert stats[t, 0] == pytest.approx(np.trace(np.linalg.inv(gram)).real, rel=1e-12)

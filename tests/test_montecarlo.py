@@ -133,37 +133,19 @@ class TestRunDrop:
         assert run_drop(clerckx, 0).trace_sq < exp.trace_sq
 
     def test_forced_rejection_redraws_and_counts(self, monkeypatch):
-        real = montecarlo._condition_ok
-        calls = {"n": 0}
-
-        def flaky(row):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return False
-            return real(row)
-
-        monkeypatch.setattr(montecarlo, "_condition_ok", flaky)
         # 1 rejection out of 32 trials stays under the 5% abort threshold
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0,)}))
         a = run_drop(exp_scenario(n_fading=32), 0)
         assert a.rejected_trials == 1
 
-        calls["n"] = 0
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0,)}))
         b = run_drop(exp_scenario(n_fading=32), 0)
         assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
 
     def test_excess_rejections_abort_drop(self, monkeypatch):
-        real = montecarlo._condition_ok
-        calls = {"n": 0}
-
-        # initial check of trials 0 and 1 fail, their first redraws pass:
+        # trials 0 and 1 fail the screen, their first redraws pass:
         # 2 rejections out of 10 trials trips the 5% threshold
-        def flaky(row):
-            calls["n"] += 1
-            if calls["n"] in (1, 3):
-                return False
-            return real(row)
-
-        monkeypatch.setattr(montecarlo, "_condition_ok", flaky)
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0, 1)}))
         with pytest.raises(RunFailureError, match="5%"):
             run_drop(exp_scenario(n_fading=10), 0)
 

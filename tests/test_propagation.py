@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from corrdiv import (
     MeasuredAngularModel,
     Scenario,
     calibrate_attenuation_constant,
-    sample_angular_params,
+    collect_instantaneous_snr_db,
+    percentile,
     sample_link_gain,
     sample_terminal_geometry,
 )
+from corrdiv import montecarlo
+from corrdiv.propagation import calibration_baseline, draw_truncated_spread
 
 
 def rng(seed=0):
@@ -143,7 +148,7 @@ class TestAngularParams:
 
         model = MeasuredAngularModel()
         generator = rng(11)
-        spreads = np.array([sample_angular_params(model, generator)[0] for _ in range(100_000)])
+        spreads = np.array([draw_truncated_spread(model, generator) for _ in range(100_000)])
         assert spreads.min() >= 1.0
         # redraw-until-above-floor conditions the normal on X >= 1
         oracle = truncnorm.mean((1.0 - 14.02) / 6.45, np.inf, loc=14.02, scale=6.45)
@@ -152,13 +157,30 @@ class TestAngularParams:
     def test_degenerate_std(self):
         model = MeasuredAngularModel(spread_std_deg=0.0)
         for _ in range(10):
-            spread, _ = sample_angular_params(model, rng(12))
-            assert spread == 14.02
+            assert draw_truncated_spread(model, rng(12)) == 14.02
 
-    def test_doa_uniform_cdf(self):
-        model = MeasuredAngularModel()
-        generator = rng(13)
-        doas = np.array([sample_angular_params(model, generator)[1] for _ in range(100_000)])
+    def test_doa_uniform_cdf(self, monkeypatch):
+        # the mean DOAs the engine draws from each drop's model lane; the
+        # correlation matrices themselves play no part here
+        monkeypatch.setattr(montecarlo, "build_one_ring", lambda *args: None)
+        scenario = Scenario(
+            m=50,
+            l=50,
+            model=CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured"),
+            n_drops=2000,
+            n_fading=1,
+            seed=13,
+        )
+        doas = np.array(
+            [
+                p["mean_doa_deg"]
+                for drop in range(scenario.n_drops)
+                for p in montecarlo._terminal_correlations(
+                    scenario, montecarlo._stream(scenario.seed, drop, montecarlo._MODEL_LANE)
+                )[1]
+            ]
+        )
+        assert doas.size == 100_000
         grid = np.linspace(-180, 180, 400)
         analytic = (grid + 180) / 360
         empirical = np.searchsorted(np.sort(doas), grid) / doas.size
@@ -170,13 +192,7 @@ class TestAngularParams:
 
     @pytest.mark.parametrize(
         "field",
-        [
-            "spread_mean_deg",
-            "spread_std_deg",
-            "doa_low_deg",
-            "doa_high_deg",
-            "spread_floor_deg",
-        ],
+        ["spread_mean_deg", "spread_std_deg", "spread_floor_deg"],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, field, value):
@@ -184,12 +200,31 @@ class TestAngularParams:
             MeasuredAngularModel(**{field: value})
 
 
+def bisect_attenuation(baseline):
+    """Oracle: A found by bisecting log10(A) on the 5th percentile of the
+    baseline's instantaneous SNR samples, rescaled to each trial A."""
+    unit = replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
+    samples_db = collect_instantaneous_snr_db(unit)
+    p5_at = lambda log_a: percentile(samples_db + 10.0 * log_a, 5.0)  # noqa: E731
+    lo, hi = -12.0, 12.0
+    assert p5_at(lo) < 0 < p5_at(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if abs(p5_at(mid)) <= 1e-9:
+            return 10.0**mid
+        if p5_at(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    raise AssertionError("bisection did not converge within 60 iterations")
+
+
 class TestCalibration:
     def test_rescale_and_bisection_agree(self):
         baseline = small_baseline()
-        a_rescale = calibrate_attenuation_constant(baseline, method="rescale")
-        a_bisect = calibrate_attenuation_constant(baseline, method="bisection")
-        assert a_bisect == pytest.approx(a_rescale, rel=1e-9)
+        assert bisect_attenuation(baseline) == pytest.approx(
+            calibrate_attenuation_constant(baseline), rel=1e-9
+        )
 
     def test_deterministic_given_seed(self):
         a1 = calibrate_attenuation_constant(small_baseline(seed=5))
@@ -201,9 +236,6 @@ class TestCalibration:
     def test_linearity_in_attenuation(self):
         # instantaneous SNR scales linearly with A, so the percentile in dB
         # shifts by exactly 10*log10(2) when A doubles
-        from corrdiv import collect_instantaneous_snr_db, percentile
-        from dataclasses import replace
-
         base = small_baseline()
         single = collect_instantaneous_snr_db(base)
         doubled_scenario = replace(
@@ -214,9 +246,6 @@ class TestCalibration:
         assert shift == pytest.approx(10 * np.log10(2.0), abs=1e-9)
 
     def test_achieves_target_percentile(self):
-        from corrdiv import collect_instantaneous_snr_db, percentile
-        from dataclasses import replace
-
         base = small_baseline()
         a = calibrate_attenuation_constant(base)
         calibrated = replace(base, geometry=replace(base.geometry, attenuation_constant=a))
@@ -233,9 +262,7 @@ class TestCalibration:
             seed=1,
             geometry=GeometryConfig(),
         )
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="M=64, L=6, rho_t=0 dB"):
             calibrate_attenuation_constant(bad)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(InvalidParameterError):
-            calibrate_attenuation_constant(small_baseline(), method="newton")
+        # the builder turns any scenario into one calibration accepts
+        assert calibrate_attenuation_constant(calibration_baseline(bad)) > 0
