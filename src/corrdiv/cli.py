@@ -129,11 +129,14 @@ class _Parser:
 
     def build(self, cls, keys, field_keys, **kwargs):
         """``cls(**kwargs)``, with a rejected value reported at the key that set
-        its field (``field_keys`` maps field to key path), or at ``keys``."""
+        its field (``field_keys`` maps field to key path), or at ``keys``.
+        Of several blamed fields, the first one the file sets is reported."""
         try:
             return cls(**kwargs)
         except InvalidParameterError as exc:
-            at = field_keys.get(exc.field, keys)
+            fields = exc.field if isinstance(exc.field, tuple) else (exc.field,)
+            paths = [field_keys.get(f, keys) for f in fields]
+            at = next((path for path in paths if path in self.marks), paths[0])
             while at not in self.marks:
                 at = at[:-1]
             self.fail(at, str(exc))
@@ -211,9 +214,11 @@ def load_scenario_file(path):
         text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}", path=str(path))
+    # one pass: the composed node gives both the line marks and the data
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        node = loader.get_single_node()
+        data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioError(
@@ -221,6 +226,8 @@ def load_scenario_file(path):
             path=str(path),
             line=None if mark is None else mark.line + 1,
         )
+    finally:
+        loader.dispose()
     marks = {}
     if node is not None:
         _collect_marks(node, (), marks)

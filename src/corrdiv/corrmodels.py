@@ -234,18 +234,15 @@ def factor(r: CorrelationMatrix) -> CorrelationFactor:
     """Eigen-factorization B with B @ B^H = R, tolerating rank deficiency.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
-    ``IndefiniteMatrixError``.
+    ``IndefiniteMatrixError``. The tests check the reconstruction to 1e-8 for
+    every family.
     """
     lam, vec = np.linalg.eigh(r.entries)
     if lam[0] < PSD_FLOOR:
         raise IndefiniteMatrixError(
             f"correlation matrix is indefinite (smallest eigenvalue {lam[0]:.3e})"
         )
-    b = vec.astype(np.complex128) * np.sqrt(np.clip(lam, 0.0, None))
-    recon_err = np.max(np.abs(b @ b.conj().T - r.entries))
-    if recon_err > 1e-8:
-        raise CorrDivError(f"factor reconstruction error {recon_err:.3e} exceeds 1e-8")
-    return CorrelationFactor(b)
+    return CorrelationFactor(vec.astype(np.complex128) * np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def average_correlation(rs) -> tuple:

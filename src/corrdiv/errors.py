@@ -11,7 +11,8 @@ class InvalidParameterError(CorrDivError):
     """A constructor or operation received an out-of-contract argument.
 
     ``field`` names the dataclass field that failed, when one did, so a
-    parser can point at the input that set it.
+    parser can point at the input that set it. A check that relates several
+    fields names them all as a tuple, the likeliest culprit first.
     """
 
     def __init__(self, message, field=None):

@@ -1,32 +1,57 @@
 """Hot loop for batched correlated-channel Gram statistics.
 
 For every fading trial the kernel computes the trace of the inverse Gram
-matrix plus its extremal eigenvalues (used for condition screening) in one
-batched numpy pass. ``benchmarks/bench_kernels.py`` times it.
+matrix plus bounds on its extremal eigenvalues (used for condition
+screening) in one batched numpy pass. ``benchmarks/bench_kernels.py`` times
+it.
 """
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .zfcore import COND_MAX
+
+
+def _eigen_stats(gram):
+    """[Tr[G^-1], lam_min, lam_max] from the eigenvalues; inf trace if singular."""
+    lam = np.linalg.eigvalsh(gram)
+    trace_inv = np.full(len(gram), np.inf)
+    ok = lam[:, 0] > 0
+    trace_inv[ok] = np.sum(1.0 / lam[ok], axis=1)
+    return np.stack([trace_inv, lam[:, 0], lam[:, -1]], axis=1)
 
 
 def _eta_numpy(w, bh):
-    n, n_term, _ = w.shape
+    n_term = w.shape[1]
     h = np.empty_like(w)
     for l in range(n_term):
         h[:, l, :] = w[:, l, :] @ bh[l]
     gram = h @ np.conj(np.transpose(h, (0, 2, 1)))
-    lam = np.linalg.eigvalsh(gram)
-    lam_min = lam[:, 0]
-    lam_max = lam[:, -1]
-    trace_inv = np.full(n, np.inf)
-    ok = lam_min > 0
-    trace_inv[ok] = np.sum(1.0 / lam[ok], axis=1)
-    return np.stack([trace_inv, lam_min, lam_max], axis=1)
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return _eigen_stats(gram)
+    # Tr[G^-1] = ||L^-1||_F^2 for G = L L^H; 1/Tr[G^-1] <= lam_min and
+    # lam_max <= Tr[G], so a bound ratio within COND_MAX proves the condition
+    trace_inv = np.sum(chol_inv.real**2 + chol_inv.imag**2, axis=(1, 2))
+    trace = np.trace(gram, axis1=1, axis2=2).real
+    stats = np.stack([trace_inv, 1.0 / trace_inv, trace], axis=1)
+    loose = trace * trace_inv > COND_MAX
+    if np.any(loose):
+        stats[loose] = _eigen_stats(gram[loose])
+    return stats
 
 
 def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
-    """Per-trial [Tr[(HH^H)^-1], lam_min, lam_max] for a batch of trials.
+    """Per-trial [Tr[(HH^H)^-1], lam_lo, lam_hi] for a batch of trials.
+
+    ``lam_lo <= lam_min`` and ``lam_hi >= lam_max`` bound the Gram matrix's
+    extremal eigenvalues: they are 1/Tr[G^-1] and Tr[G] from a Cholesky
+    factor, or the eigenvalues themselves for trials whose bound ratio
+    exceeds ``COND_MAX`` (and for the whole batch when a Gram matrix is not
+    numerically positive definite). So ``lam_hi <= COND_MAX * lam_lo`` holds
+    exactly when the condition number is within ``COND_MAX``. A singular
+    Gram matrix reports an infinite trace.
 
     Parameters
     ----------
@@ -43,3 +68,9 @@ def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
             f"incompatible kernel shapes: w {w.shape}, bh {bh.shape}"
         )
     return _eta_numpy(w, bh)
+
+
+def conditioned(stats: np.ndarray) -> np.ndarray:
+    """Mask of the trials whose ``gram_eta_stats`` rows pass the condition screen."""
+    trace_inv, lam_lo, lam_hi = stats.T
+    return np.isfinite(trace_inv) & (lam_lo > 0) & (lam_hi <= COND_MAX * lam_lo)

@@ -1,8 +1,8 @@
 """Drop x fading-trial Monte Carlo orchestration and aggregation.
 
-Randomness discipline (RNG contract 2): every stream is derived from the
-scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding a
-Philox counter generator. Lane 0 carries geometry and shadowing, lane 1 the
+Randomness discipline (RNG contract 3): every stream is derived from the
+scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding an
+SFC64 generator. Lane 0 carries geometry and shadowing, lane 1 the
 per-terminal correlation parameters, lane 2 the drop's whole fading block and
 lane 3 the redraws of ill-conditioned trials, taken in trial order. Drops are
 therefore independent work units whose results do not depend on worker count
@@ -35,11 +35,11 @@ from .propagation import (
     sample_link_gain,
     sample_terminal_geometry,
 )
-from .zfcore import COND_MAX, draw_fading, expected_sum_se_closed_form, expected_zf_snr_closed_form
+from .zfcore import draw_fading, expected_sum_se_closed_form, expected_zf_snr_closed_form
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
-RNG_CONTRACT = 2
+RNG_CONTRACT = 3
 
 _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
@@ -118,15 +118,15 @@ class ScenarioResult:
 
 def _stream(seed: int, drop: int, lane: int):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(drop, lane))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @lru_cache(maxsize=8)
 def _exponential_profile(m: int, xi: float):
     """The exponential matrix and its read-only conjugate-transposed factor.
 
-    Both depend on (M, xi) alone, so every drop of an exponential scenario,
-    and of the calibration baseline, shares one eigendecomposition.
+    Both depend on (M, xi) alone, so every drop of an exponential or Clerckx
+    scenario, and of the calibration baseline, shares one eigendecomposition.
     """
     r = build_exponential(m, xi)
     bh = factor(r).factor.conj().T
@@ -170,10 +170,19 @@ def _terminal_correlations(scenario: Scenario, rng):
     return rs, params
 
 
-def _conditioned(stats: np.ndarray) -> np.ndarray:
-    """Mask of the trials whose Gram statistics pass the condition screen."""
-    trace_inv, lam_min, lam_max = stats.T
-    return np.isfinite(trace_inv) & (lam_min > 0) & (lam_max <= COND_MAX * lam_min)
+def _conjugate_factors(scenario: Scenario, rs, params) -> np.ndarray:
+    """The terminals' conjugate-transposed correlation factors, (L, M, M)."""
+    model = scenario.model
+    m = scenario.m
+    if model.variant == "one_ring":
+        return np.stack([factor(r).factor.conj().T for r in rs])
+    _, bh = _exponential_profile(m, model.xi)
+    if model.variant == "exponential":
+        return np.broadcast_to(bh, (scenario.l, m, m))
+    # Clerckx: R = D^H T D with T exponential and D = diag(e^{j delta i}), so
+    # B^H = B_T^H D is the shared factor with its columns phase-ramped
+    deltas = np.deg2rad([p["delta_phase_deg"] for p in params])
+    return bh * np.exp(1j * deltas[:, np.newaxis] * np.arange(m))[:, np.newaxis, :]
 
 
 def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = False) -> DropResult:
@@ -198,12 +207,7 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
         for (d, az), (z, b), p in zip(geo, shadow, params)
     ]
     _, trace_sq = average_correlation(rs)
-
-    if scenario.model.variant == "exponential":
-        _, bh_single = _exponential_profile(n_ant, scenario.model.xi)
-        bh = np.broadcast_to(bh_single, (n_term, n_ant, n_ant))
-    else:
-        bh = np.stack([factor(r).factor.conj().T for r in rs])
+    bh = _conjugate_factors(scenario, rs, params)
 
     w = draw_fading(
         _stream(seed, drop_index, _FADING_LANE), n_term, n_ant, n_trials=scenario.n_fading
@@ -212,7 +216,7 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
 
     rejected = 0
     gen_redraw = None
-    for t in np.flatnonzero(~_conditioned(stats)):
+    for t in np.flatnonzero(~kernels.conditioned(stats)):
         if gen_redraw is None:
             gen_redraw = _stream(seed, drop_index, _REDRAW_LANE)
         # every attempt takes the next single-trial block of the redraw lane
@@ -221,7 +225,7 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
             w_t = draw_fading(gen_redraw, n_term, n_ant)
             row = kernels.gram_eta_stats(w_t[np.newaxis], bh)
             stats[t] = row[0]
-            if _conditioned(row)[0]:
+            if kernels.conditioned(row)[0]:
                 break
         else:
             raise RunFailureError(

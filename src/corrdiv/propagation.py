@@ -44,7 +44,7 @@ class GeometryConfig:
             raise InvalidParameterError(
                 f"need 0 < r0 < cell radius, got r0={self.reference_distance_m}, "
                 f"Rc={self.cell_radius_m}",
-                field="reference_distance_m",
+                field=("reference_distance_m", "cell_radius_m"),
             )
         if self.attenuation_exponent <= 0:
             raise InvalidParameterError(

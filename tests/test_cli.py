@@ -103,7 +103,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_path), "--out", str(out)])
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-        assert manifest["rng_contract"] == 2
+        assert manifest["rng_contract"] == 3
         assert "rng_contract" not in manifest["run"]
 
     def test_degenerate_run_exits_one(self, tmp_path, capsys):
@@ -129,6 +129,7 @@ model:
   measured:
     spread_floor_deg: 1.0
 geometry:
+  cell_radius_m: 500.0
   alpha: 3.67
   attenuation_constant: 1.0
 run:
@@ -167,6 +168,8 @@ class TestValidation:
             ("model.spacing_wavelengths", "-0.5"),
             ("geometry.alpha", ".nan"),
             ("model.measured.spread_floor_deg", "0.0"),
+            # below the default reference distance, which the file does not set
+            ("geometry.cell_radius_m", "40.0"),
         ],
     )
     def test_rejected_value_is_located_at_its_key(self, tmp_path, capsys, label, value):
@@ -179,7 +182,7 @@ class TestValidation:
         assert f"{scenario}:{line}: {label}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["1", "3", "true", "'2'"])
+    @pytest.mark.parametrize("value", ["1", "2", "4", "true", "'2'", "'3'"])
     def test_foreign_rng_contract_is_located(self, tmp_path, capsys, value):
         scenario = write_scenario(tmp_path, f"rng_contract: {value}\n" + MINIMAL)
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
@@ -189,7 +192,7 @@ class TestValidation:
 
     def test_current_rng_contract_is_accepted(self, tmp_path):
         plain = write_scenario(tmp_path, MINIMAL, "plain.yaml")
-        stamped = write_scenario(tmp_path, "rng_contract: 2\n" + MINIMAL, "stamped.yaml")
+        stamped = write_scenario(tmp_path, "rng_contract: 3\n" + MINIMAL, "stamped.yaml")
         assert load_scenario_file(stamped) == load_scenario_file(plain)
 
     def test_unknown_key_is_located(self, tmp_path, capsys):
@@ -329,7 +332,7 @@ class TestCalibrateCommand:
         assert achieved == pytest.approx(0.0, abs=1e-6)
         resolved = yaml.safe_load((out / "base.resolved.yaml").read_text())
         assert resolved["geometry"]["attenuation_constant"] == pytest.approx(constant)
-        assert resolved["rng_contract"] == 2
+        assert resolved["rng_contract"] == 3
 
     def test_rerun_gives_identical_constant(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, CALIBRATE, "base.yaml")

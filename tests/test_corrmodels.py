@@ -151,6 +151,23 @@ def test_factor_near_singular_one_ring():
     assert np.max(np.abs(b @ b.conj().T - r.entries)) <= 1e-8
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: build_exponential(m, 0.9),
+        lambda m: build_clerckx(m, 0.9, 38.0),
+        lambda m: build_one_ring(m, 14.02, 30.0, 0.5),
+    ],
+    ids=["exponential", "clerckx", "one_ring"],
+)
+def test_factor_reconstructs_every_family(build, m):
+    # factor() leaves this O(M^3) check to the tests
+    r = build(m)
+    b = factor(r).factor
+    assert np.max(np.abs(b @ b.conj().T - r.entries)) <= 1e-8
+
+
 def test_factor_rejects_indefinite_matrix():
     # unit diagonal and unit-bounded entries, but indefinite (det = -2.888)
     bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from corrdiv.errors import InvalidParameterError
-from corrdiv.kernels import gram_eta_stats
-from corrdiv.zfcore import draw_fading
+from corrdiv.kernels import conditioned, gram_eta_stats
+from corrdiv.zfcore import COND_MAX, draw_fading
 
 
 def random_batch(n_trials=16, l=3, m=8, seed=0):
@@ -52,3 +52,50 @@ class TestNumpyPath:
         for t in range(8):
             gram = w[t] @ w[t].conj().T
             assert stats[t, 0] == pytest.approx(np.trace(np.linalg.inv(gram)).real, rel=1e-12)
+
+
+def near_dependent_batch(eps, l=3, m=8, seed=3):
+    """One trial per entry of ``eps``: terminal 1 is terminal 0 plus eps times
+    fresh noise, so the Gram condition number grows like 1/eps^2."""
+    rng = np.random.default_rng(seed)
+    w = draw_fading(rng, l, m, n_trials=len(eps))
+    for t, e in enumerate(eps):
+        w[t, 1] = w[t, 0] + e * w[t, 1]
+    bh = np.broadcast_to(np.eye(m, dtype=np.complex128), (l, m, m))
+    return w, bh
+
+
+def eigenvalue_rule(w):
+    gram = w @ w.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(gram)
+    return (lam[:, 0] > 0) & (lam[:, -1] <= COND_MAX * lam[:, 0]), gram
+
+
+class TestCholeskyScreen:
+    def test_trace_matches_eigenvalues(self):
+        w, bh = random_batch(n_trials=64, l=4, m=16, seed=7)
+        stats = gram_eta_stats(w, bh)
+        h = np.einsum("tlm,lmk->tlk", w, bh)
+        lam = np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1))
+        np.testing.assert_allclose(stats[:, 0], np.sum(1.0 / lam, axis=1), rtol=1e-12, atol=0)
+
+    def test_verdicts_equal_the_eigenvalue_rule(self):
+        eps = [1e-1, 1e-3, 1e-5, 2.1e-6, 1e-6, 1e-7]
+        w, bh = near_dependent_batch(eps)
+        rule, gram = eigenvalue_rule(w)
+        # passing trials, trials past COND_MAX, and a passing trial whose
+        # bound exceeds COND_MAX, all numerically positive definite
+        assert rule[:4].all() and not rule[4:].any()
+        bound = np.trace(gram[3]).real * np.trace(np.linalg.inv(gram[3])).real
+        assert np.linalg.cond(gram[3]) < COND_MAX < bound
+        np.linalg.cholesky(gram)
+        np.testing.assert_array_equal(conditioned(gram_eta_stats(w, bh)), rule)
+
+        # an exactly dependent pair and one Cholesky cannot factor send the
+        # whole batch to the eigenvalues
+        w, bh = near_dependent_batch(eps + [1e-8, 0.0])
+        rule, gram = eigenvalue_rule(w)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        np.testing.assert_array_equal(conditioned(gram_eta_stats(w, bh)), rule)
+        assert rule[:4].all() and not rule[4:].any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrdiv import kernels, montecarlo
-from corrdiv.corrmodels import CorrelationModelSpec, build_exponential
+from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
 from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
@@ -283,6 +283,26 @@ class TestExponentialProfileCache:
         again = [run_drop(scenario, d) for d in range(3)]
         for a, b in zip(first, again):
             assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
+
+
+class TestSharedClerckxFactor:
+    def test_reproduces_build_clerckx(self, monkeypatch):
+        montecarlo._exponential_profile.cache_clear()
+        calls = []
+        real = montecarlo.factor
+        monkeypatch.setattr(montecarlo, "factor", lambda r: calls.append(r.order) or real(r))
+        clerckx = CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=(-38.0, 38.0))
+        scenario = exp_scenario(m=64, l=6, model=clerckx)
+        try:
+            rs, params = montecarlo._terminal_correlations(scenario, montecarlo._stream(9, 0, 1))
+            bh = montecarlo._conjugate_factors(scenario, rs, params)
+        finally:
+            montecarlo._exponential_profile.cache_clear()
+        assert calls == [64]  # the one exponential eigendecomposition
+        assert bh.shape == (6, 64, 64)
+        for b, p in zip(bh, params):
+            want = build_clerckx(64, 0.9, p["delta_phase_deg"]).entries
+            assert np.max(np.abs(b.conj().T @ b - want)) <= 1e-12
 
 
 class TestRunScenario:
