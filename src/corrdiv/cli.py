@@ -19,18 +19,18 @@ from .errors import CorrDivError, InvalidParameterError, ScenarioError
 from .montecarlo import (
     RNG_CONTRACT,
     Scenario,
-    collect_instantaneous_snr_db,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
-    run_scenario,
+    pooled_instantaneous_snr_db,
+    run_scenarios,
 )
-from .propagation import (
-    GeometryConfig,
-    MeasuredAngularModel,
-    calibrate_attenuation_constant,
-    calibration_baseline,
-)
+from .propagation import GeometryConfig, MeasuredAngularModel, calibration_baseline
+
+# entry points the commands no longer call, kept in this namespace because
+# bench/trace_cli.py wraps them here
+from .montecarlo import run_scenario  # noqa: F401, E402
+from .propagation import calibrate_attenuation_constant  # noqa: F401, E402
 
 # YAML key -> dataclass field it sets, for the sections made of plain numbers
 _MEASURED_FIELDS = {key: key for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")}
@@ -318,12 +318,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _resolve_attenuation(scenario: Scenario) -> float:
-    """Calibrate A on the reference configuration under this scenario's
-    geometry, noise power, seed, and Monte Carlo sizes."""
-    return calibrate_attenuation_constant(calibration_baseline(scenario))
-
-
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
@@ -376,12 +370,9 @@ def _write_manifest(path, scenario):
 def cmd_run(args) -> int:
     scenario, wants_calibration = load_scenario_file(args.scenario)
     scenario = _apply_overrides(scenario, args)
-    if wants_calibration:
-        constant = _resolve_attenuation(scenario)
-        scenario = replace(
-            scenario, geometry=replace(scenario.geometry, attenuation_constant=constant)
-        )
-    result = run_scenario(scenario, workers=args.workers)
+    # calibration, when asked for, runs in the same call and resolves the constant
+    (result,) = run_scenarios([scenario], workers=args.workers, calibrate=wants_calibration)
+    scenario = result.scenario
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -422,19 +413,13 @@ def cmd_compare(args) -> int:
         raise ScenarioError(
             "scenarios are incompatible: M, L, seed, geometry and run sizes must match"
         )
-    if flags[0]:
-        constant = _resolve_attenuation(scenarios[0])
-        scenarios = [
-            replace(s, geometry=replace(s.geometry, attenuation_constant=constant))
-            for s in scenarios
-        ]
-
     labels = []
     for i, p in enumerate(paths):
         stem = Path(p).stem
         labels.append(stem if stem not in labels else f"{stem}#{i}")
 
-    results = [run_scenario(s, workers=args.workers) for s in scenarios]
+    # one drop-major pass: the scenarios read the same fading block in each drop
+    results = run_scenarios(scenarios, workers=args.workers, calibrate=flags[0])
     pooled = [pooled_expected_snr_db(r) for r in results]
 
     out = Path(args.out)
@@ -478,14 +463,19 @@ def cmd_calibrate(args) -> int:
             path=str(args.scenario),
         )
     scenario = _apply_overrides(scenario, args)
-    constant = _resolve_attenuation(scenario)
+    # the pass that calibrates also aggregates the baseline at the constant,
+    # which gives the achieved percentile
+    (result,) = run_scenarios(
+        [calibration_baseline(scenario)],
+        workers=args.workers,
+        collect_instantaneous=True,
+        calibrate=True,
+    )
+    constant = result.scenario.geometry.attenuation_constant
     resolved = replace(
         scenario, geometry=replace(scenario.geometry, attenuation_constant=constant)
     )
-
-    # measure the achieved percentile at the calibrated constant
-    baseline = calibration_baseline(resolved)
-    achieved = percentile(collect_instantaneous_snr_db(baseline, workers=args.workers), 5.0)
+    achieved = percentile(pooled_instantaneous_snr_db(result), 5.0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,13 @@ per-terminal correlation parameters, lane 2 the drop's whole fading block and
 lane 3 the redraws of ill-conditioned trials, taken in trial order. Drops are
 therefore independent work units whose results do not depend on worker count
 or scheduling order, and scenarios of equal (n_fading, L, M) share their
-fading block drop by drop.
+fading block drop by drop. ``run_scenarios`` exploits that: it loops over
+drops outermost and, within a drop, draws the block once for every scenario
+of that shape and the kernel statistics once per correlation model.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -30,12 +32,20 @@ from .errors import CorrDivError, InvalidParameterError, RunFailureError, requir
 from .propagation import (
     GeometryConfig,
     MeasuredAngularModel,
-    TerminalProfile,
+    attenuation_from_samples,
+    calibrate_attenuation_constant,
     draw_truncated_spread,
+    link_gain,
     sample_link_gain,
     sample_terminal_geometry,
+    unit_baseline,
 )
-from .zfcore import draw_fading, expected_sum_se_closed_form, expected_zf_snr_closed_form
+from .zfcore import (
+    COND_MAX,
+    draw_fading,
+    expected_sum_se_closed_form,
+    expected_zf_snr_closed_form,
+)
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
@@ -87,6 +97,13 @@ class Scenario:
             )
         if self.model.angular_spread_deg == "measured" and self.measured_model is None:
             object.__setattr__(self, "measured_model", MeasuredAngularModel())
+        rank = _shared_rank(self.model, self.m)
+        if rank is not None and rank < self.l:
+            raise InvalidParameterError(
+                f"every terminal shares one correlation matrix of numerical rank {rank} "
+                f"< L={self.l}, so every Gram matrix is singular",
+                field="l",
+            )
 
     @property
     def rho_t_linear(self) -> float:
@@ -97,7 +114,6 @@ class Scenario:
 class DropResult:
     drop_index: int
     distances_m: np.ndarray
-    azimuths_deg: np.ndarray
     link_gains: np.ndarray
     per_terminal_expected_snr_db: np.ndarray
     per_terminal_closed_form_snr_db: np.ndarray
@@ -114,6 +130,46 @@ class ScenarioResult:
     scenario: Scenario
     drops: tuple
     summary: dict
+
+
+@dataclass(frozen=True)
+class _DropDraws:
+    """What one drop draws for a scenario: everything its result needs except
+    the attenuation constant, rho_t and sigma2."""
+
+    drop_index: int
+    distances_m: list
+    shadowing: list
+    trace_sq: float
+    stats: np.ndarray
+    rejected_trials: int
+
+
+@lru_cache(maxsize=32)
+def _shared_rank(model: CorrelationModelSpec, m: int) -> Optional[int]:
+    """Numerical rank of the one matrix every terminal shares, or None when
+    the model draws the terminals' matrices apart.
+
+    The rank counts eigenvalues above lam_max / COND_MAX. Equal Clerckx phase
+    bounds give every terminal the exponential spectrum, and an exponential
+    profile with xi < 1 has lam_max / lam_min <= ((1 + xi) / (1 - xi))^2, so
+    it needs an eigensolve only for xi within about 2e-6 of 1.
+    """
+    if model.variant == "clerckx" and model.phase_range_deg[0] != model.phase_range_deg[1]:
+        return None
+    if model.variant == "one_ring":
+        spread, doa = model.angular_spread_deg, model.mean_doa_deg
+        if isinstance(spread, str) or isinstance(doa, str):
+            return None
+        r = build_one_ring(m, spread, doa, model.spacing_wavelengths)
+    elif model.xi == 1.0:
+        return 1
+    elif ((1.0 + model.xi) / (1.0 - model.xi)) ** 2 <= COND_MAX:
+        return m
+    else:
+        r = build_exponential(m, model.xi)
+    lam = np.linalg.eigvalsh(r.entries)
+    return int(np.sum(lam > lam[-1] / COND_MAX))
 
 
 def _stream(seed: int, drop: int, lane: int):
@@ -185,34 +241,31 @@ def _conjugate_factors(scenario: Scenario, rs, params) -> np.ndarray:
     return bh * np.exp(1j * deltas[:, np.newaxis] * np.arange(m))[:, np.newaxis, :]
 
 
-def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = False) -> DropResult:
-    """One drop: sample large-scale state, average over fading, compare closed form.
+def _draw_geometry(scenario: Scenario, drop_index: int):
+    """Lane 0: each terminal's distance, then each terminal's shadowing."""
+    gen_geo = _stream(scenario.seed, drop_index, _GEOMETRY_LANE)
+    # the azimuths are drawn and dropped: contract 3 fixes the lane's order
+    distances = [
+        sample_terminal_geometry(scenario.geometry, gen_geo, scenario.radial_law)[0]
+        for _ in range(scenario.l)
+    ]
+    shadowing = [sample_link_gain(scenario.geometry, d, gen_geo)[0] for d in distances]
+    return distances, shadowing
 
-    Deterministic function of (scenario.seed, drop_index).
+
+def _draw_kernel(scenario: Scenario, drop_index: int, fading):
+    """Lane 1's correlations, the Gram statistics of the drop's fading block
+    and the redraws of ill-conditioned trials, with their abort rules.
+
+    ``fading(scenario)`` returns the drop's lane-2 block. Returns
+    ``(trace_sq, stats, rejected)``.
     """
     n_term, n_ant = scenario.l, scenario.m
     seed = scenario.seed
-
-    gen_geo = _stream(seed, drop_index, _GEOMETRY_LANE)
-    geo = [
-        sample_terminal_geometry(scenario.geometry, gen_geo, scenario.radial_law)
-        for _ in range(n_term)
-    ]
-    shadow = [sample_link_gain(scenario.geometry, d, gen_geo) for d, _ in geo]
-
-    gen_model = _stream(seed, drop_index, _MODEL_LANE)
-    rs, params = _terminal_correlations(scenario, gen_model)
-    profiles = [
-        TerminalProfile(d, az, z, b, p)
-        for (d, az), (z, b), p in zip(geo, shadow, params)
-    ]
+    rs, params = _terminal_correlations(scenario, _stream(seed, drop_index, _MODEL_LANE))
     _, trace_sq = average_correlation(rs)
     bh = _conjugate_factors(scenario, rs, params)
-
-    w = draw_fading(
-        _stream(seed, drop_index, _FADING_LANE), n_term, n_ant, n_trials=scenario.n_fading
-    )
-    stats = kernels.gram_eta_stats(w, bh)
+    stats = kernels.gram_eta_stats(fading(scenario), bh)
 
     rejected = 0
     gen_redraw = None
@@ -236,10 +289,61 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
             f"{rejected} rejected trials out of {scenario.n_fading} exceeds "
             f"the 5% abort threshold"
         )
+    return trace_sq, stats, rejected
 
-    trace_inv = stats[:, 0]
+
+def _stats_key(s: Scenario) -> tuple:
+    """What a drop's kernel statistics depend on."""
+    return (s.model, s.measured_model, s.m, s.l, s.n_fading, s.seed)
+
+
+def _draw_drops(scenarios, drop_index: int) -> list:
+    """One drop of every scenario: its ``_DropDraws`` or the ``CorrDivError``
+    that aborted it.
+
+    Scenarios of equal (seed, n_fading, L, M) share the drop's fading block,
+    and those that also share the correlation model share its kernel
+    statistics. Both live only as long as this call.
+    """
+    blocks, kernel_runs = {}, {}
+
+    def fading(s):
+        key = (s.seed, s.n_fading, s.l, s.m)
+        if key not in blocks:
+            gen = _stream(s.seed, drop_index, _FADING_LANE)
+            blocks[key] = draw_fading(gen, s.l, s.m, n_trials=s.n_fading)
+        return blocks[key]
+
+    outcomes = []
+    for s in scenarios:
+        key = _stats_key(s)
+        try:
+            distances, shadowing = _draw_geometry(s, drop_index)
+            if key not in kernel_runs:
+                try:
+                    kernel_runs[key] = _draw_kernel(s, drop_index, fading)
+                except CorrDivError as exc:
+                    kernel_runs[key] = exc
+            kernel = kernel_runs[key]
+            if isinstance(kernel, CorrDivError):
+                raise kernel
+            outcomes.append(_DropDraws(drop_index, distances, shadowing, *kernel))
+        except CorrDivError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _aggregate_drop(
+    scenario: Scenario, draws: _DropDraws, collect_instantaneous: bool = False
+) -> DropResult:
+    """Link gains, fading-averaged and closed-form SNRs and sum SE of one drop."""
+    n_term, n_ant = scenario.l, scenario.m
+    trace_sq = draws.trace_sq
+    trace_inv = draws.stats[:, 0]
     inv_eta = n_term / trace_inv
-    betas = np.array([p.link_gain for p in profiles])
+    betas = np.array(
+        [link_gain(scenario.geometry, z, d) for d, z in zip(draws.distances_m, draws.shadowing)]
+    )
     scale = scenario.rho_t_linear * betas / scenario.sigma2
 
     mean_inv_eta = float(np.mean(inv_eta))
@@ -260,19 +364,30 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
     eta_cv = float(np.std(trace_inv) / np.mean(trace_inv))
 
     return DropResult(
-        drop_index=drop_index,
-        distances_m=np.array([p.distance_m for p in profiles]),
-        azimuths_deg=np.array([p.azimuth_deg for p in profiles]),
+        drop_index=draws.drop_index,
+        distances_m=np.array(draws.distances_m),
         link_gains=betas,
         per_terminal_expected_snr_db=snr_sim_db,
         per_terminal_closed_form_snr_db=snr_cf_db,
         sum_se_sim_bits=sum_se_sim,
         sum_se_cf_bits=sum_se_cf,
         trace_sq=trace_sq,
-        rejected_trials=rejected,
+        rejected_trials=draws.rejected_trials,
         eta_cv=eta_cv,
         inst_snr_db=10.0 * np.log10(inst_snr).ravel() if collect_instantaneous else None,
     )
+
+
+def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = False) -> DropResult:
+    """One drop: sample large-scale state, average over fading, compare closed form.
+
+    Deterministic function of (scenario.seed, drop_index); raises the
+    ``CorrDivError`` that aborts the drop.
+    """
+    (draws,) = _draw_drops([scenario], drop_index)
+    if isinstance(draws, CorrDivError):
+        raise draws
+    return _aggregate_drop(scenario, draws, collect_instantaneous)
 
 
 def _summarize(drops, n_failed: int) -> dict:
@@ -298,49 +413,101 @@ def _summarize(drops, n_failed: int) -> dict:
     }
 
 
-def run_scenario(
-    scenario: Scenario, workers: int = 1, collect_instantaneous: bool = False
-) -> ScenarioResult:
-    """Execute all drops, in-process or across a process pool.
-
-    Drop failures are collected; the run fails outright if more than 1% of
-    drops abort. Summaries are bit-identical for any worker count.
-    """
-    outcomes = {}
-    if workers <= 1:
-        for d in range(scenario.n_drops):
-            try:
-                outcomes[d] = run_drop(scenario, d, collect_instantaneous)
-            except CorrDivError as exc:
-                outcomes[d] = exc
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                d: pool.submit(run_drop, scenario, d, collect_instantaneous)
-                for d in range(scenario.n_drops)
-            }
-            for d, fut in futures.items():
-                exc = fut.exception()
-                if exc is None:
-                    outcomes[d] = fut.result()
-                elif isinstance(exc, CorrDivError):
-                    outcomes[d] = exc
-                else:
-                    raise exc
-
-    failures = [(d, str(v)) for d, v in outcomes.items() if isinstance(v, Exception)]
+def _result(scenario: Scenario, outcomes, collect_instantaneous: bool) -> ScenarioResult:
+    """Aggregate a scenario's drawn drops. The run fails outright if more than
+    1% of its drops abort."""
+    drops, failures = [], []
+    for d, outcome in enumerate(outcomes):
+        try:
+            if isinstance(outcome, CorrDivError):
+                raise outcome
+            drops.append(_aggregate_drop(scenario, outcome, collect_instantaneous))
+        except CorrDivError as exc:
+            failures.append((d, str(exc)))
     if len(failures) > 0.01 * scenario.n_drops:
         detail = "; ".join(f"drop {d}: {msg}" for d, msg in failures[:5])
         raise RunFailureError(
             f"{len(failures)} of {scenario.n_drops} drops aborted: {detail}"
         )
-    drops = tuple(outcomes[d] for d in sorted(outcomes) if not isinstance(outcomes[d], Exception))
+    drops = tuple(drops)
     return ScenarioResult(scenario, drops, _summarize(drops, len(failures)))
+
+
+def run_scenarios(
+    scenarios, workers: int = 1, collect_instantaneous: bool = False, calibrate: bool = False
+) -> list:
+    """Run several scenarios in one drop-major pass; one result per scenario.
+
+    The outer loop runs over drops, in-process or one pool task per drop.
+    Each drop draws its fading block once per (seed, n_fading, L, M) and its
+    kernel statistics once per correlation model, and frees both before the
+    next drop. The attenuation constant, rho_t and sigma2 enter only when the
+    drops are aggregated, so every result is bit-identical to a separate
+    ``run_scenario`` call, for any worker count.
+
+    With ``calibrate``, the calibration baseline of the first scenario joins
+    the pass at A = 1, and every scenario is aggregated at the constant that
+    ``calibrate_attenuation_constant`` gives for it; each result's scenario
+    carries that constant. With ``workers > 1`` a baseline whose kernel
+    statistics no scenario shares is calibrated in this process before the
+    pool starts instead: pool workers each run a full BLAS thread pool on the
+    same cores and take several times longer per drop than the serial loop.
+    A scenario whose drops abort past 1% raises ``RunFailureError``, the
+    first such scenario in order.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise InvalidParameterError("run_scenarios needs at least one scenario")
+    entries, constant = scenarios, None
+    if calibrate:
+        unit = unit_baseline(scenarios[0])
+        if workers > 1 and _stats_key(unit) not in {_stats_key(s) for s in scenarios}:
+            constant = calibrate_attenuation_constant(unit)
+        else:
+            entries = [unit] + scenarios
+    drops = range(max(s.n_drops for s in entries))
+    active = [[i for i, s in enumerate(entries) if d < s.n_drops] for d in drops]
+    tasks = [[entries[i] for i in indices] for indices in active]
+    if workers <= 1:
+        per_drop = map(_draw_drops, tasks, drops)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_drop = list(pool.map(_draw_drops, tasks, drops))
+    outcomes = [[] for _ in entries]
+    for indices, row in zip(active, per_drop):
+        for i, outcome in zip(indices, row):
+            outcomes[i].append(outcome)
+    if calibrate:
+        if constant is None:
+            unit = _result(entries[0], outcomes.pop(0), collect_instantaneous=True)
+            constant = attenuation_from_samples(pooled_instantaneous_snr_db(unit))
+        scenarios = [
+            replace(s, geometry=replace(s.geometry, attenuation_constant=constant))
+            for s in scenarios
+        ]
+    return [_result(s, o, collect_instantaneous) for s, o in zip(scenarios, outcomes)]
+
+
+def run_scenario(
+    scenario: Scenario, workers: int = 1, collect_instantaneous: bool = False
+) -> ScenarioResult:
+    """Execute all drops of one scenario, in-process or across a process pool.
+
+    Drop failures are collected; the run fails outright if more than 1% of
+    drops abort. Summaries are bit-identical for any worker count.
+    """
+    (result,) = run_scenarios([scenario], workers, collect_instantaneous)
+    return result
 
 
 def collect_instantaneous_snr_db(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """Pooled per-(drop, trial, terminal) instantaneous ZF SNR samples in dB."""
-    result = run_scenario(scenario, workers=workers, collect_instantaneous=True)
+    return pooled_instantaneous_snr_db(run_scenario(scenario, workers, collect_instantaneous=True))
+
+
+def pooled_instantaneous_snr_db(result: ScenarioResult) -> np.ndarray:
+    """Instantaneous SNRs in (drop, trial, terminal) order, from a run made
+    with ``collect_instantaneous``."""
     return np.concatenate([d.inst_snr_db for d in result.drops])
 
 

@@ -59,21 +59,6 @@ class GeometryConfig:
 
 
 @dataclass(frozen=True)
-class TerminalProfile:
-    """One terminal's resolved large-scale state for a drop."""
-
-    distance_m: float
-    azimuth_deg: float
-    shadowing_linear: float
-    link_gain: float
-    model_params: dict
-
-    def __post_init__(self):
-        if self.shadowing_linear <= 0 or self.link_gain <= 0:
-            raise InvalidParameterError("shadowing and link gain must be positive")
-
-
-@dataclass(frozen=True)
 class MeasuredAngularModel:
     """Fitted angular-spread statistics: N(14.02, 6.45^2) deg, floored."""
 
@@ -121,13 +106,21 @@ def sample_link_gain(config: GeometryConfig, distance_m: float, rng):
             f"{config.cell_radius_m}]"
         )
     shadow_db = rng.normal(0.0, config.shadowing_std_db)
-    zeta = 10.0 ** (shadow_db / 10.0)
-    beta = (
+    zeta = float(10.0 ** (shadow_db / 10.0))
+    return zeta, link_gain(config, zeta, distance_m)
+
+
+def link_gain(config: GeometryConfig, shadowing_linear: float, distance_m: float) -> float:
+    """beta = A * zeta * (r0 / r)^alpha, multiplied in that order.
+
+    The Monte Carlo pass draws zeta once and applies this with each
+    scenario's constant, so the order is part of the numeric contract.
+    """
+    return float(
         config.attenuation_constant
-        * zeta
+        * shadowing_linear
         * (config.reference_distance_m / distance_m) ** config.attenuation_exponent
     )
-    return float(zeta), float(beta)
 
 
 def draw_truncated_spread(model: MeasuredAngularModel, rng) -> float:
@@ -154,18 +147,27 @@ def _require_baseline(scenario):
         )
 
 
+def unit_baseline(scenario):
+    """``scenario``'s calibration baseline at A = 1, the run calibration solves on."""
+    baseline = calibration_baseline(scenario)
+    return replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
+
+
+def attenuation_from_samples(samples_db) -> float:
+    """A putting the 5th percentile of instantaneous ZF SNR samples drawn at A = 1
+    at 0 dB. Instantaneous SNR is exactly linear in A, so a rescale solves it."""
+    p5_db = float(np.percentile(samples_db, 5.0))
+    return 10.0 ** (-p5_db / 10.0)
+
+
 def calibrate_attenuation_constant(baseline) -> float:
     """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
 
-    Instantaneous SNR is exactly linear in A, so one Monte Carlo pass at A=1
-    plus a rescale solves the problem. Deterministic given the scenario seed.
+    One Monte Carlo pass of the baseline at A = 1 plus a rescale; deterministic
+    given the scenario seed. ``run_scenarios(..., calibrate=True)`` gives the
+    same constant from a pass it shares with other scenarios.
     """
     from .montecarlo import collect_instantaneous_snr_db
 
     _require_baseline(baseline)
-    unit = replace(
-        baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0)
-    )
-    samples_db = collect_instantaneous_snr_db(unit)
-    p5_db = float(np.percentile(samples_db, 5.0))
-    return 10.0 ** (-p5_db / 10.0)
+    return attenuation_from_samples(collect_instantaneous_snr_db(unit_baseline(baseline)))

@@ -107,9 +107,10 @@ class TestRunCommand:
         assert "rng_contract" not in manifest["run"]
 
     def test_degenerate_run_exits_one(self, tmp_path, capsys):
+        # rank-1 profiles 1e-9 deg apart: accepted, singular in every trial
         text = MINIMAL.replace(
             "  type: exponential\n  xi: 0.6",
-            "  type: one_ring\n  angular_spread_deg: 1.0e-6\n  mean_doa: 0.0",
+            "  type: clerckx\n  xi: 1.0\n  phase_range_deg: [0.0, 1.0e-9]",
         ).replace("m: 8", "m: 4")
         scenario = write_scenario(tmp_path, text)
         code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
@@ -227,6 +228,30 @@ class TestValidation:
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, m, l",
+        [
+            # the rank-1 exponential profile at every terminal
+            ("  type: exponential\n  xi: 1.0", 8, 2),
+            # one fixed one-ring profile of numerical rank 27 at M=64
+            ("  type: one_ring\n  angular_spread_deg: 14.02\n  mean_doa: 0.0", 64, 32),
+        ],
+        ids=["exponential_rank1", "one_ring_fixed_rank27"],
+    )
+    def test_shared_profile_below_rank_l_exits_two(self, tmp_path, capsys, model, m, l):
+        text = (
+            MINIMAL.replace("  type: exponential\n  xi: 0.6", model)
+            .replace("m: 8", f"m: {m}")
+            .replace("l: 2", f"l: {l}")
+        )
+        scenario = write_scenario(tmp_path, text)
+        code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{scenario}:2: l: every terminal shares one correlation matrix" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_geometry_requires_a_constant_or_calibration(self, tmp_path, capsys):
         text = MINIMAL.replace("  attenuation_constant: 1.0", "  cell_radius_m: 400.0")
         scenario = write_scenario(tmp_path, text)
@@ -318,6 +343,30 @@ run:
   n_fading: 25
   seed: 3
 """
+
+
+class TestCompareWorkers:
+    def test_worker_count_does_not_change_files(self, tmp_path, capsys):
+        # calibrated scenarios, so the baseline shares the pool as well
+        exp = CALIBRATE.replace("n_drops: 4", "n_drops: 3")
+        clerckx = exp.replace(
+            "  type: exponential\n  xi: 0.9",
+            "  type: clerckx\n  xi: 0.9\n  phase_range_deg: [0.0, 38.0]",
+        )
+        paths = [write_scenario(tmp_path, exp, "exp.yaml")]
+        paths.append(write_scenario(tmp_path, clerckx, "clerckx.yaml"))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            args = ["compare", "--out", str(out), "--workers", workers]
+            for path in paths:
+                args += ["--scenario", str(path)]
+            assert main(args) == 0
+            outputs.append((out, capsys.readouterr().out.replace(str(out), "OUT")))
+        (one, stdout_one), (two, stdout_two) = outputs
+        assert stdout_one == stdout_two
+        for name in ("cdf.csv", "gains.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
 
 class TestCalibrateCommand:

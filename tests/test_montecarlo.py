@@ -1,11 +1,15 @@
 """Tests for drop orchestration, aggregation, and the RNG lane discipline."""
 
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from corrdiv import kernels, montecarlo
 from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
+from corrdiv.propagation import calibrate_attenuation_constant, calibration_baseline
 from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
     Scenario,
@@ -14,6 +18,7 @@ from corrdiv.montecarlo import (
     pooled_expected_snr_db,
     run_drop,
     run_scenario,
+    run_scenarios,
 )
 
 
@@ -30,9 +35,10 @@ def exp_scenario(**overrides):
     return Scenario(**base)
 
 
-DEGENERATE = CorrelationModelSpec(
-    variant="one_ring", angular_spread_deg=1e-6, mean_doa_deg=0.0
-)
+# rank-1 profiles whose phases differ by at most 1e-9 deg: the terminals'
+# matrices differ, so the scenario is accepted, but every Gram matrix is
+# numerically singular
+DEGENERATE = CorrelationModelSpec(variant="clerckx", xi=1.0, phase_range_deg=(0.0, 1e-9))
 
 
 class TestScenarioValidation:
@@ -78,6 +84,41 @@ class TestScenarioValidation:
     def test_rejects_non_finite_values(self, overrides):
         with pytest.raises(InvalidParameterError, match="finite"):
             exp_scenario(**overrides)
+
+    @pytest.mark.parametrize(
+        "model, m, l",
+        [
+            (CorrelationModelSpec(variant="exponential", xi=1.0), 8, 2),
+            (CorrelationModelSpec(variant="clerckx", xi=1.0, phase_range_deg=(9.0, 9.0)), 8, 2),
+            # 27 of the 64 eigenvalues clear lam_max / COND_MAX
+            (
+                CorrelationModelSpec(variant="one_ring", angular_spread_deg=14.02, mean_doa_deg=0.0),
+                64,
+                28,
+            ),
+        ],
+        ids=["exponential_rank1", "clerckx_equal_phases", "one_ring_fixed_rank27"],
+    )
+    def test_rejects_shared_profile_of_rank_below_l(self, model, m, l):
+        with pytest.raises(InvalidParameterError, match="numerical rank") as info:
+            exp_scenario(m=m, l=l, model=model)
+        assert info.value.field == "l"
+        exp_scenario(m=m, l=l - 1, model=model)  # one terminal fewer fits
+
+    def test_rank_rule_counts_eigenvalues_above_the_condition_floor(self):
+        fixed = CorrelationModelSpec(variant="one_ring", angular_spread_deg=14.02, mean_doa_deg=0.0)
+        assert montecarlo._shared_rank(fixed, 64) == 27
+        lam = np.linalg.eigvalsh(build_exponential(8, 1 - 1e-14).entries)
+        near_one = CorrelationModelSpec(variant="exponential", xi=1 - 1e-14)
+        assert montecarlo._shared_rank(near_one, 8) == np.sum(lam > lam[-1] / 1e12) < 8
+        assert montecarlo._shared_rank(CorrelationModelSpec(variant="exponential", xi=0.99), 64) == 64
+        # terminals drawn apart have no shared rank
+        for model in (
+            CorrelationModelSpec(variant="clerckx", xi=1.0, phase_range_deg=(0.0, 1.0)),
+            CorrelationModelSpec(variant="one_ring", angular_spread_deg=14.02),
+            CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured", mean_doa_deg=0.0),
+        ):
+            assert montecarlo._shared_rank(model, 64) is None
 
     def test_transmit_power_conversion(self):
         assert exp_scenario(rho_t_db=10.0).rho_t_linear == pytest.approx(10.0)
@@ -380,6 +421,121 @@ class TestRunScenario:
         pooled = pooled_expected_snr_db(result)
         assert pooled.shape == (3 * scenario.l,)
         assert np.array_equal(pooled[2:4], result.drops[1].per_terminal_expected_snr_db)
+
+
+CLERCKX = CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0.0, 38.0))
+
+
+def assert_same_drops(a, b):
+    assert len(a.drops) == len(b.drops)
+    for x, y in zip(a.drops, b.drops):
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            assert np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v, f.name
+
+
+class TestRunScenarios:
+    """The drop-major pass against separate runs."""
+
+    def reference_shape(self, **overrides):
+        # calibration solves on M=64, L=6, so these share the baseline's block
+        base = dict(
+            m=64,
+            l=6,
+            model=CorrelationModelSpec(variant="exponential", xi=0.9),
+            n_drops=2,
+            n_fading=10,
+            seed=4,
+            rho_t_db=5.0,
+        )
+        return Scenario(**{**base, **overrides})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_separate_runs(self, workers):
+        base = exp_scenario(n_drops=3, n_fading=12, rho_t_db=5.0)
+        models = [
+            base.model,
+            CLERCKX,
+            CorrelationModelSpec(variant="one_ring", angular_spread_deg=14.02),
+            CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured"),
+        ]
+        scenarios = [replace(base, model=m) for m in models]
+        scenarios.append(replace(scenarios[2], rho_t_db=0.0))
+        scenarios.append(replace(scenarios[1], radial_law="radius"))
+
+        merged = run_scenarios(scenarios, workers=workers, collect_instantaneous=True)
+        for result, scenario in zip(merged, scenarios):
+            alone = run_scenario(scenario, collect_instantaneous=True)
+            assert result.scenario == scenario
+            assert result.summary == alone.summary
+            assert_same_drops(result, alone)
+
+    def test_one_block_per_drop_and_one_kernel_call_per_model(self, monkeypatch):
+        exponential = self.reference_shape()
+        scenarios = [
+            exponential,
+            self.reference_shape(model=replace(CLERCKX, xi=0.9)),
+            self.reference_shape(rho_t_db=0.0),
+        ]
+        kernel, draws = KernelSpy({}), DrawSpy()
+        monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
+        monkeypatch.setattr(montecarlo, "draw_fading", draws)
+        results = run_scenarios(scenarios, calibrate=True)
+
+        assert [n for _, n in draws.calls] == [10, 10]
+        # per drop: one call for the baseline and both exponential runs, one
+        # for the Clerckx run
+        assert len(kernel.batches) == 2 * 2
+        assert all(r.summary["rejected_trials_total"] == 0 for r in results)
+
+    # with a pool, a baseline that shares statistics with a scenario joins
+    # the pool and one that does not is calibrated serially first
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "model",
+        [CorrelationModelSpec(variant="exponential", xi=0.9), replace(CLERCKX, xi=0.9)],
+        ids=["exponential", "clerckx"],
+    )
+    def test_calibrated_pass_gives_the_calibration_constant(self, workers, model):
+        scenario = self.reference_shape(model=model, n_drops=3, n_fading=20)
+        (result,) = run_scenarios([scenario], workers=workers, calibrate=True)
+        constant = calibrate_attenuation_constant(calibration_baseline(scenario))
+        assert result.scenario.geometry.attenuation_constant == constant
+        resolved = replace(scenario, geometry=replace(scenario.geometry, attenuation_constant=constant))
+        assert result.scenario == resolved
+        assert result.summary == run_scenario(resolved).summary
+
+    def test_needs_a_scenario(self):
+        with pytest.raises(InvalidParameterError, match="at least one scenario"):
+            run_scenarios([])
+
+    def test_failed_drop_stays_with_its_scenario(self, monkeypatch):
+        exp = exp_scenario(n_drops=101, n_fading=10)
+        clerckx = replace(exp, model=CLERCKX)
+        # call 1 is the Clerckx block of drop 0: two rejections out of 10
+        # trials abort that drop, and only for that scenario
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({1: (0, 1)}))
+        merged = run_scenarios([exp, clerckx])
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0, 1)}))
+        alone = run_scenario(clerckx)
+        assert merged[1].summary["n_drops_failed"] == 1
+        assert merged[1].summary == alone.summary
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({}))
+        assert merged[0].summary["n_drops_failed"] == 0
+        assert merged[0].summary == run_scenario(exp).summary
+
+        # past 1% the run fails with the text of the scenario run alone
+        short = [replace(s, n_drops=2) for s in (exp, clerckx)]
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({1: (0, 1)}))
+        with pytest.raises(RunFailureError) as merged_error:
+            run_scenarios(short)
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0, 1)}))
+        with pytest.raises(RunFailureError) as alone_error:
+            run_scenario(short[1])
+        assert str(merged_error.value) == str(alone_error.value)
+        assert str(merged_error.value).startswith(
+            "1 of 2 drops aborted: drop 0: 2 rejected trials out of 10"
+        )
 
 
 class TestCdfHelpers:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from closed_form_variants import l_scaled_zf_snr
 
 from corrdiv import (
     ChannelMatrix,
@@ -203,9 +204,7 @@ class TestClosedForm:
 
     def test_l_scaled_variant_divides_by_l(self):
         base = expected_zf_snr_closed_form(2.0, 64, 6, 500.0, 1.5, 1.0)
-        scaled = expected_zf_snr_closed_form(
-            2.0, 64, 6, 500.0, 1.5, 1.0, l_scaled_denominator=True
-        )
+        scaled = l_scaled_zf_snr(2.0, 64, 6, 500.0, 1.5, 1.0)
         assert scaled == pytest.approx(base / 6, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
