@@ -95,7 +95,15 @@ class CorrelationModelSpec:
             raise InvalidParameterError(
                 f"unknown correlation model variant {self.variant!r}", field="variant"
             )
-        lo, hi = self.phase_range_deg
+        # a tuple, so that specs stay hashable whatever sequence the caller gave
+        phase_range = tuple(self.phase_range_deg)
+        if len(phase_range) != 2:
+            raise InvalidParameterError(
+                f"phase range must be a (low, high) pair, got {self.phase_range_deg!r}",
+                field="phase_range_deg",
+            )
+        object.__setattr__(self, "phase_range_deg", phase_range)
+        lo, hi = phase_range
         tagged = {"angular_spread_deg": self.angular_spread_deg, "mean_doa_deg": self.mean_doa_deg}
         require_finite(
             xi=self.xi,

@@ -436,7 +436,8 @@ def _result(scenario: Scenario, outcomes, collect_instantaneous: bool) -> Scenar
 def run_scenarios(
     scenarios, workers: int = 1, collect_instantaneous: bool = False, calibrate: bool = False
 ) -> list:
-    """Run several scenarios in one drop-major pass; one result per scenario.
+    """Run several scenarios of equal ``n_drops`` in one drop-major pass; one
+    result per scenario.
 
     The outer loop runs over drops, in-process or one pool task per drop.
     Each drop draws its fading block once per (seed, n_fading, L, M) and its
@@ -445,38 +446,40 @@ def run_scenarios(
     drops are aggregated, so every result is bit-identical to a separate
     ``run_scenario`` call, for any worker count.
 
-    With ``calibrate``, the calibration baseline of the first scenario joins
-    the pass at A = 1, and every scenario is aggregated at the constant that
-    ``calibrate_attenuation_constant`` gives for it; each result's scenario
-    carries that constant. With ``workers > 1`` a baseline whose kernel
-    statistics no scenario shares is calibrated in this process before the
-    pool starts instead: pool workers each run a full BLAS thread pool on the
-    same cores and take several times longer per drop than the serial loop.
+    With ``calibrate``, every scenario is aggregated at the constant that
+    ``calibrate_attenuation_constant`` gives for the calibration baseline of
+    the first scenario, and each result's scenario carries that constant. The
+    baseline joins the pass at A = 1 when ``workers`` is 1; with a pool it is
+    calibrated serially first, because pool workers each run a full BLAS
+    thread pool on the same cores and take several times longer per drop.
     A scenario whose drops abort past 1% raises ``RunFailureError``, the
     first such scenario in order.
     """
     scenarios = list(scenarios)
     if not scenarios:
         raise InvalidParameterError("run_scenarios needs at least one scenario")
+    n_drops = scenarios[0].n_drops
+    if any(s.n_drops != n_drops for s in scenarios):
+        raise InvalidParameterError(
+            "run_scenarios needs scenarios of equal n_drops", field="n_drops"
+        )
     entries, constant = scenarios, None
     if calibrate:
         unit = unit_baseline(scenarios[0])
-        if workers > 1 and _stats_key(unit) not in {_stats_key(s) for s in scenarios}:
+        if workers > 1:
             constant = calibrate_attenuation_constant(unit)
         else:
             entries = [unit] + scenarios
-    drops = range(max(s.n_drops for s in entries))
-    active = [[i for i, s in enumerate(entries) if d < s.n_drops] for d in drops]
-    tasks = [[entries[i] for i in indices] for indices in active]
+    tasks = [entries] * n_drops
     if workers <= 1:
-        per_drop = map(_draw_drops, tasks, drops)
+        per_drop = map(_draw_drops, tasks, range(n_drops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_drop = list(pool.map(_draw_drops, tasks, drops))
+            per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
     outcomes = [[] for _ in entries]
-    for indices, row in zip(active, per_drop):
-        for i, outcome in zip(indices, row):
-            outcomes[i].append(outcome)
+    for row in per_drop:
+        for per_entry, outcome in zip(outcomes, row):
+            per_entry.append(outcome)
     if calibrate:
         if constant is None:
             unit = _result(entries[0], outcomes.pop(0), collect_instantaneous=True)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,3 +293,11 @@ def test_cli_import_does_not_load_scipy():
 def test_model_spec_rejects_non_finite_values(kwargs):
     with pytest.raises(InvalidParameterError, match="finite"):
         CorrelationModelSpec(**kwargs)
+
+
+def test_model_spec_keeps_phase_range_as_a_pair():
+    spec = CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=[0.0, 38.0])
+    assert spec.phase_range_deg == (0.0, 38.0)
+    assert hash(spec) == hash(replace(spec, phase_range_deg=(0.0, 38.0)))
+    with pytest.raises(InvalidParameterError, match="pair"):
+        CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=[0.0, 1.0, 2.0])

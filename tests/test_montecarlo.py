@@ -52,6 +52,17 @@ class TestScenarioValidation:
         with pytest.raises(InvalidParameterError):
             exp_scenario(n_fading=0)
 
+    def test_list_phase_range_builds_and_runs(self):
+        # specs are hashed by the rank cache and the statistics key
+        listed = exp_scenario(
+            model=CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=[0, 38])
+        )
+        paired = exp_scenario(
+            model=CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0, 38))
+        )
+        assert listed == paired
+        assert run_scenario(listed).summary == run_scenario(paired).summary
+
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(InvalidParameterError):
             exp_scenario(seed=-1)
@@ -488,8 +499,7 @@ class TestRunScenarios:
         assert len(kernel.batches) == 2 * 2
         assert all(r.summary["rejected_trials_total"] == 0 for r in results)
 
-    # with a pool, a baseline that shares statistics with a scenario joins
-    # the pool and one that does not is calibrated serially first
+    # serially the baseline joins the pass; with a pool it is calibrated first
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "model",
@@ -508,6 +518,10 @@ class TestRunScenarios:
     def test_needs_a_scenario(self):
         with pytest.raises(InvalidParameterError, match="at least one scenario"):
             run_scenarios([])
+
+    def test_needs_equal_drop_counts(self):
+        with pytest.raises(InvalidParameterError, match="equal n_drops"):
+            run_scenarios([exp_scenario(n_drops=2), exp_scenario(n_drops=3)])
 
     def test_failed_drop_stays_with_its_scenario(self, monkeypatch):
         exp = exp_scenario(n_drops=101, n_fading=10)
