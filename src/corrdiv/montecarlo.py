@@ -29,11 +29,12 @@ from .corrmodels import (
     factor,
 )
 from .errors import CorrDivError, InvalidParameterError, RunFailureError, require_finite
+from .kernels import COND_MAX
 from .propagation import (
     GeometryConfig,
     MeasuredAngularModel,
+    _require_baseline,
     attenuation_from_samples,
-    calibrate_attenuation_constant,
     draw_truncated_spread,
     link_gain,
     sample_link_gain,
@@ -41,7 +42,6 @@ from .propagation import (
     unit_baseline,
 )
 from .zfcore import (
-    COND_MAX,
     draw_fading,
     expected_sum_se_closed_form,
     expected_zf_snr_closed_form,
@@ -190,23 +190,29 @@ def _exponential_profile(m: int, xi: float):
     return r, bh
 
 
-def _terminal_correlations(scenario: Scenario, rng):
-    """Per-terminal correlation matrices plus the resolved parameter dicts.
+def _terminal_profiles(scenario: Scenario, rng):
+    """Lane 1: the drop's Tr[Rbar^2] and the terminals' conjugate-transposed
+    correlation factors, (L, M, M).
 
     Draw order inside the model lane is fixed: all mean-DOA draws first, then
     all spread draws. Scenarios differing only in the spread rule therefore
     share their DOA draws under a common seed.
     """
     model = scenario.model
-    n = scenario.l
+    m, n = scenario.m, scenario.l
     if model.variant == "exponential":
-        r, _ = _exponential_profile(scenario.m, model.xi)
-        return [r] * n, [{"xi": model.xi}] * n
+        r, bh = _exponential_profile(m, model.xi)
+        _, trace_sq = average_correlation([r] * n)
+        return trace_sq, np.broadcast_to(bh, (n, m, m))
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
         deltas = [float(rng.uniform(lo, hi)) for _ in range(n)]
-        rs = [build_clerckx(scenario.m, model.xi, d) for d in deltas]
-        return rs, [{"delta_phase_deg": d} for d in deltas]
+        _, trace_sq = average_correlation([build_clerckx(m, model.xi, d) for d in deltas])
+        _, bh = _exponential_profile(m, model.xi)
+        # R = D^H T D with T exponential and D = diag(e^{j delta i}), so
+        # B^H = B_T^H D is the shared factor with its columns phase-ramped
+        ramp = np.exp(1j * np.deg2rad(deltas)[:, np.newaxis] * np.arange(m))
+        return trace_sq, bh * ramp[:, np.newaxis, :]
 
     if model.mean_doa_deg == "uniform":
         doas = [float(rng.uniform(-180.0, 180.0)) for _ in range(n)]
@@ -216,29 +222,9 @@ def _terminal_correlations(scenario: Scenario, rng):
         spreads = [draw_truncated_spread(scenario.measured_model, rng) for _ in range(n)]
     else:
         spreads = [float(model.angular_spread_deg)] * n
-    rs = [
-        build_one_ring(scenario.m, s, d, model.spacing_wavelengths)
-        for s, d in zip(spreads, doas)
-    ]
-    params = [
-        {"angular_spread_deg": s, "mean_doa_deg": d} for s, d in zip(spreads, doas)
-    ]
-    return rs, params
-
-
-def _conjugate_factors(scenario: Scenario, rs, params) -> np.ndarray:
-    """The terminals' conjugate-transposed correlation factors, (L, M, M)."""
-    model = scenario.model
-    m = scenario.m
-    if model.variant == "one_ring":
-        return np.stack([factor(r).factor.conj().T for r in rs])
-    _, bh = _exponential_profile(m, model.xi)
-    if model.variant == "exponential":
-        return np.broadcast_to(bh, (scenario.l, m, m))
-    # Clerckx: R = D^H T D with T exponential and D = diag(e^{j delta i}), so
-    # B^H = B_T^H D is the shared factor with its columns phase-ramped
-    deltas = np.deg2rad([p["delta_phase_deg"] for p in params])
-    return bh * np.exp(1j * deltas[:, np.newaxis] * np.arange(m))[:, np.newaxis, :]
+    rs = [build_one_ring(m, s, d, model.spacing_wavelengths) for s, d in zip(spreads, doas)]
+    _, trace_sq = average_correlation(rs)
+    return trace_sq, np.stack([factor(r).factor.conj().T for r in rs])
 
 
 def _draw_geometry(scenario: Scenario, drop_index: int):
@@ -260,11 +246,8 @@ def _draw_kernel(scenario: Scenario, drop_index: int, fading):
     ``fading(scenario)`` returns the drop's lane-2 block. Returns
     ``(trace_sq, stats, rejected)``.
     """
-    n_term, n_ant = scenario.l, scenario.m
     seed = scenario.seed
-    rs, params = _terminal_correlations(scenario, _stream(seed, drop_index, _MODEL_LANE))
-    _, trace_sq = average_correlation(rs)
-    bh = _conjugate_factors(scenario, rs, params)
+    trace_sq, bh = _terminal_profiles(scenario, _stream(seed, drop_index, _MODEL_LANE))
     stats = kernels.gram_eta_stats(fading(scenario), bh)
 
     rejected = 0
@@ -272,11 +255,11 @@ def _draw_kernel(scenario: Scenario, drop_index: int, fading):
     for t in np.flatnonzero(~kernels.conditioned(stats)):
         if gen_redraw is None:
             gen_redraw = _stream(seed, drop_index, _REDRAW_LANE)
-        # every attempt takes the next single-trial block of the redraw lane
+        # every attempt takes the next one-trial block of the redraw lane
         for _ in range(_MAX_REDRAWS):
             rejected += 1
-            w_t = draw_fading(gen_redraw, n_term, n_ant)
-            row = kernels.gram_eta_stats(w_t[np.newaxis], bh)
+            w_t = draw_fading(gen_redraw, scenario.l, scenario.m, n_trials=1)
+            row = kernels.gram_eta_stats(w_t, bh)
             stats[t] = row[0]
             if kernels.conditioned(row)[0]:
                 break
@@ -476,10 +459,7 @@ def run_scenarios(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
-    outcomes = [[] for _ in entries]
-    for row in per_drop:
-        for per_entry, outcome in zip(outcomes, row):
-            per_entry.append(outcome)
+    outcomes = [list(column) for column in zip(*per_drop)]
     if calibrate:
         if constant is None:
             unit = _result(entries[0], outcomes.pop(0), collect_instantaneous=True)
@@ -506,6 +486,17 @@ def run_scenario(
 def collect_instantaneous_snr_db(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """Pooled per-(drop, trial, terminal) instantaneous ZF SNR samples in dB."""
     return pooled_instantaneous_snr_db(run_scenario(scenario, workers, collect_instantaneous=True))
+
+
+def calibrate_attenuation_constant(baseline: Scenario) -> float:
+    """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
+
+    One Monte Carlo pass of the baseline at A = 1 plus a rescale; deterministic
+    given the scenario seed. ``run_scenarios(..., calibrate=True)`` gives the
+    same constant from a pass it shares with other scenarios.
+    """
+    _require_baseline(baseline)
+    return attenuation_from_samples(collect_instantaneous_snr_db(unit_baseline(baseline)))
 
 
 def pooled_instantaneous_snr_db(result: ScenarioResult) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Link gain model: beta = A * zeta * (r0 / r)^alpha with lognormal shadowing
 zeta (10*log10(zeta) ~ N(0, sigma_sh^2)). The attenuation constant A is
-calibrated so that the 5th percentile of instantaneous ZF SNR hits 0 dB on
-the reference configuration, ``_REFERENCE``.
+calibrated (``montecarlo.calibrate_attenuation_constant``) so that the 5th
+percentile of instantaneous ZF SNR hits 0 dB on the reference
+configuration, ``_REFERENCE``.
 """
 
 from dataclasses import dataclass, replace
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corrmodels import CorrelationModelSpec
-from .errors import InvalidParameterError, require_finite
+from .errors import InvalidParameterError, RunFailureError, require_finite
 
 # the configuration calibration solves on; a scenario keeps its geometry,
 # noise power, seed, run sizes and radial law
@@ -22,6 +23,9 @@ _REFERENCE = {
     "model": CorrelationModelSpec(variant="exponential", xi=0.9),
     "measured_model": None,
 }
+# a floor that this many draws in a row miss is out of the measured model's
+# reach; at the default fit each draw misses with probability 0.022
+_MAX_SPREAD_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,11 @@ class MeasuredAngularModel:
             raise InvalidParameterError("spread floor must be positive", field="spread_floor_deg")
         if self.spread_std_deg < 0:
             raise InvalidParameterError("spread std cannot be negative", field="spread_std_deg")
+        if self.spread_std_deg == 0 and self.spread_mean_deg < self.spread_floor_deg:
+            raise InvalidParameterError(
+                "with a zero spread std, the spread mean must clear the spread floor",
+                field=("spread_mean_deg", "spread_floor_deg"),
+            )
 
 
 def sample_terminal_geometry(config: GeometryConfig, rng, radial_law: str = "area"):
@@ -124,11 +133,18 @@ def link_gain(config: GeometryConfig, shadowing_linear: float, distance_m: float
 
 
 def draw_truncated_spread(model: MeasuredAngularModel, rng) -> float:
-    """One angular spread from the measured fit, redrawn until it clears the floor."""
-    while True:
+    """One angular spread from the measured fit, redrawn until it clears the floor.
+
+    ``_MAX_SPREAD_DRAWS`` misses in a row raise ``RunFailureError``, aborting the drop.
+    """
+    for _ in range(_MAX_SPREAD_DRAWS):
         spread = rng.normal(model.spread_mean_deg, model.spread_std_deg)
         if spread >= model.spread_floor_deg:
             return float(spread)
+    raise RunFailureError(
+        f"{_MAX_SPREAD_DRAWS} angular spreads in a row fell below the floor "
+        f"{model.spread_floor_deg} deg"
+    )
 
 
 def calibration_baseline(scenario):
@@ -158,16 +174,3 @@ def attenuation_from_samples(samples_db) -> float:
     at 0 dB. Instantaneous SNR is exactly linear in A, so a rescale solves it."""
     p5_db = float(np.percentile(samples_db, 5.0))
     return 10.0 ** (-p5_db / 10.0)
-
-
-def calibrate_attenuation_constant(baseline) -> float:
-    """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
-
-    One Monte Carlo pass of the baseline at A = 1 plus a rescale; deterministic
-    given the scenario seed. ``run_scenarios(..., calibrate=True)`` gives the
-    same constant from a pass it shares with other scenarios.
-    """
-    from .montecarlo import collect_instantaneous_snr_db
-
-    _require_baseline(baseline)
-    return attenuation_from_samples(collect_instantaneous_snr_db(unit_baseline(baseline)))

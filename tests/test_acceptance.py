@@ -150,7 +150,7 @@ def diversity_ceiling_db(trace_sq):
 def test_criterion_1_exact_iid_inverse_trace(announce):
     trials = 10_000
     rng = np.random.Generator(np.random.Philox(101))
-    w = np.stack([draw_fading(rng, L, M) for _ in range(trials)])
+    w = draw_fading(rng, L, M, trials)
     bh = np.ascontiguousarray(np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)))
     mean_trace = float(np.mean(gram_eta_stats(w, bh)[:, 0]))
 

@@ -1,11 +1,16 @@
-"""End-to-end CLI tests driven through main(argv) in-process."""
+"""End-to-end CLI tests driven through main(argv) in-process, plus a few in a
+subprocess with a timeout, where a regression would hang."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import corrdiv
 from corrdiv.cli import load_scenario_file, main, scenario_to_dict
 
 MINIMAL = """\
@@ -32,6 +37,28 @@ def write_scenario(tmp_path, text, name="scenario.yaml"):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def run_in_subprocess(scenario, out, timeout=60):
+    """``corrdiv run`` in a fresh interpreter; past ``timeout`` seconds the test fails."""
+    paths = [str(Path(corrdiv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    args = ["run", "--scenario", str(scenario), "--out", str(out)]
+    return subprocess.run(
+        [sys.executable, "-m", "corrdiv.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
+# a measured spread model whose mean sits below its floor
+SPREAD_BELOW_FLOOR = MINIMAL.replace(
+    "  type: exponential\n  xi: 0.6",
+    "  type: one_ring\n  angular_spread_deg: measured\n  measured:\n"
+    "    spread_mean_deg: 0.5\n    spread_std_deg: {std}\n    spread_floor_deg: 1.0",
+)
 
 
 class TestRunCommand:
@@ -251,6 +278,23 @@ class TestValidation:
             capsys.readouterr().err
         )
         assert not (tmp_path / "out").exists()
+
+    def test_fixed_spread_below_floor_exits_two(self, tmp_path):
+        text = SPREAD_BELOW_FLOOR.format(std="0.0")
+        scenario = write_scenario(tmp_path, text)
+        done = run_in_subprocess(scenario, tmp_path / "out")
+        assert done.returncode == 2
+        line = text.splitlines().index("    spread_mean_deg: 0.5") + 1
+        assert f"{scenario}:{line}: model.measured.spread_mean_deg:" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_unreachable_spread_floor_exits_one(self, tmp_path):
+        # accepted, but no drop can draw a spread that clears the floor
+        scenario = write_scenario(tmp_path, SPREAD_BELOW_FLOOR.format(std="1.0e-9"))
+        done = run_in_subprocess(scenario, tmp_path / "out")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "below the floor 1.0 deg" in done.stderr
 
     def test_geometry_requires_a_constant_or_calibration(self, tmp_path, capsys):
         text = MINIMAL.replace("  attenuation_constant: 1.0", "  cell_radius_m: 400.0")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from corrdiv.errors import InvalidParameterError
-from corrdiv.kernels import conditioned, gram_eta_stats
-from corrdiv.zfcore import COND_MAX, draw_fading
+from corrdiv.kernels import COND_MAX, conditioned, gram_eta_stats
+from corrdiv.zfcore import draw_fading
 
 
 def random_batch(n_trials=16, l=3, m=8, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
-    w = np.stack([draw_fading(rng, l, m) for _ in range(n_trials)])
+    w = draw_fading(rng, l, m, n_trials)
     # random unit-diagonal Hermitian factors via random unitaries
     bh = np.empty((l, m, m), dtype=np.complex128)
     for i in range(l):
@@ -46,7 +46,7 @@ class TestNumpyPath:
 
     def test_identity_factors_give_the_inverse_trace(self):
         rng = np.random.Generator(np.random.Philox(5))
-        w = np.stack([draw_fading(rng, 2, 4) for _ in range(8)])
+        w = draw_fading(rng, 2, 4, 8)
         bh = np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4))
         stats = gram_eta_stats(w, bh)
         for t in range(8):

@@ -9,10 +9,11 @@ import pytest
 from corrdiv import kernels, montecarlo
 from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
-from corrdiv.propagation import calibrate_attenuation_constant, calibration_baseline
+from corrdiv.propagation import calibration_baseline
 from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
     Scenario,
+    calibrate_attenuation_constant,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
@@ -223,9 +224,7 @@ class KernelSpy:
         self.batches = []
 
     def __call__(self, w, bh):
-        stats = kernels._eta_numpy(
-            np.ascontiguousarray(w), np.ascontiguousarray(bh, dtype=np.complex128)
-        )
+        stats = kernels.gram_stats(kernels.channels(w, bh))
         for t in self.flags.get(len(self.batches), ()):
             stats[t] = ILL
         self.batches.append(np.array(w))
@@ -238,7 +237,7 @@ class DrawSpy:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, rng, n_terminals, n_antennas, n_trials=None):
+    def __call__(self, rng, n_terminals, n_antennas, n_trials):
         self.calls.append((rng, n_trials))
         return draw_fading(rng, n_terminals, n_antennas, n_trials=n_trials)
 
@@ -277,21 +276,21 @@ class TestFadingStreams:
 
         assert drop.rejected_trials == 3
         assert lanes == [0, 1, 2, 3]
-        assert [n for _, n in draws.calls] == [100, None, None, None]
+        assert [n for _, n in draws.calls] == [100, 1, 1, 1]
         redraw_gens = {id(g) for g, _ in draws.calls[1:]}
         assert len(redraw_gens) == 1
 
         lane3 = montecarlo._stream(21, 0, 3)
-        expected = [draw_fading(lane3, 2, 8) for _ in range(3)]
+        expected = [draw_fading(lane3, 2, 8, n_trials=1) for _ in range(3)]
         for got, want in zip(kernel.batches[1:], expected):
-            assert np.array_equal(got, want[np.newaxis])
+            assert np.array_equal(got, want)
 
         # trial 2 keeps the second lane-3 block, trial 5 the third; the
         # others keep their lane-2 rows
         block = kernel.batches[0].copy()
-        block[2], block[5] = expected[1], expected[2]
+        block[2], block[5] = expected[1][0], expected[2][0]
         bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
-        inv_eta = 2 / kernels._eta_numpy(block, np.ascontiguousarray(bh))[:, 0]
+        inv_eta = 2 / kernels.gram_stats(kernels.channels(block, bh))[:, 0]
         betas = drop.link_gains
         want_db = 10.0 * np.log10(np.outer(inv_eta, betas)).ravel()
         np.testing.assert_allclose(drop.inst_snr_db, want_db, rtol=1e-12)
@@ -346,14 +345,16 @@ class TestSharedClerckxFactor:
         clerckx = CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=(-38.0, 38.0))
         scenario = exp_scenario(m=64, l=6, model=clerckx)
         try:
-            rs, params = montecarlo._terminal_correlations(scenario, montecarlo._stream(9, 0, 1))
-            bh = montecarlo._conjugate_factors(scenario, rs, params)
+            _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(9, 0, 1))
         finally:
             montecarlo._exponential_profile.cache_clear()
         assert calls == [64]  # the one exponential eigendecomposition
         assert bh.shape == (6, 64, 64)
-        for b, p in zip(bh, params):
-            want = build_clerckx(64, 0.9, p["delta_phase_deg"]).entries
+        # the deltas the profiles drew, re-drawn from the same lane-1 stream
+        lane1 = montecarlo._stream(9, 0, 1)
+        deltas = [float(lane1.uniform(-38.0, 38.0)) for _ in range(6)]
+        for b, delta in zip(bh, deltas):
+            want = build_clerckx(64, 0.9, delta).entries
             assert np.max(np.abs(b.conj().T @ b - want)) <= 1e-12
 
 

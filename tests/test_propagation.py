@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from corrdiv import (
+    CorrelationFactor,
     CorrelationModelSpec,
     GeometryConfig,
     InvalidParameterError,
     MeasuredAngularModel,
+    RunFailureError,
     Scenario,
     calibrate_attenuation_constant,
     collect_instantaneous_snr_db,
@@ -15,7 +17,7 @@ from corrdiv import (
     sample_link_gain,
     sample_terminal_geometry,
 )
-from corrdiv import montecarlo
+from corrdiv import montecarlo, propagation
 from corrdiv.propagation import calibration_baseline, draw_truncated_spread
 
 
@@ -159,10 +161,36 @@ class TestAngularParams:
         for _ in range(10):
             assert draw_truncated_spread(model, rng(12)) == 14.02
 
+    def test_zero_std_below_floor_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="clear the spread floor") as info:
+            MeasuredAngularModel(spread_mean_deg=0.5, spread_std_deg=0.0, spread_floor_deg=1.0)
+        assert info.value.field == ("spread_mean_deg", "spread_floor_deg")
+        # a zero std at or above the floor is a fixed spread
+        assert draw_truncated_spread(MeasuredAngularModel(1.0, 0.0, 1.0), rng(14)) == 1.0
+
+    def test_unreachable_floor_raises_after_the_draw_cap(self):
+        class CountingStream:
+            calls = 0
+
+            def normal(self, mean, std):
+                self.calls += 1
+                return mean
+
+        model = MeasuredAngularModel(spread_mean_deg=0.5, spread_std_deg=1e-9)
+        stream = CountingStream()
+        with pytest.raises(RunFailureError, match="floor 1.0 deg"):
+            draw_truncated_spread(model, stream)
+        assert stream.calls == propagation._MAX_SPREAD_DRAWS == 64
+
     def test_doa_uniform_cdf(self, monkeypatch):
-        # the mean DOAs the engine draws from each drop's model lane; the
-        # correlation matrices themselves play no part here
-        monkeypatch.setattr(montecarlo, "build_one_ring", lambda *args: None)
+        # the mean DOAs the engine draws from each drop's model lane, read off
+        # the builder's arguments; the matrices themselves play no part here
+        doas = []
+        monkeypatch.setattr(
+            montecarlo, "build_one_ring", lambda m, spread, doa, spacing: doas.append(doa)
+        )
+        monkeypatch.setattr(montecarlo, "average_correlation", lambda rs: (None, 50.0))
+        monkeypatch.setattr(montecarlo, "factor", lambda r: CorrelationFactor(np.ones((1, 1))))
         scenario = Scenario(
             m=50,
             l=50,
@@ -171,15 +199,11 @@ class TestAngularParams:
             n_fading=1,
             seed=13,
         )
-        doas = np.array(
-            [
-                p["mean_doa_deg"]
-                for drop in range(scenario.n_drops)
-                for p in montecarlo._terminal_correlations(
-                    scenario, montecarlo._stream(scenario.seed, drop, montecarlo._MODEL_LANE)
-                )[1]
-            ]
-        )
+        for drop in range(scenario.n_drops):
+            montecarlo._terminal_profiles(
+                scenario, montecarlo._stream(scenario.seed, drop, montecarlo._MODEL_LANE)
+            )
+        doas = np.array(doas)
         assert doas.size == 100_000
         grid = np.linspace(-180, 180, 400)
         analytic = (grid + 180) / 360

@@ -3,7 +3,7 @@ import pytest
 from closed_form_variants import l_scaled_zf_snr
 
 from corrdiv import (
-    ChannelMatrix,
+    CorrelationModelSpec,
     IllConditionedChannelError,
     InvalidParameterError,
     build_clerckx,
@@ -15,10 +15,10 @@ from corrdiv import (
     factor,
     moment_trace_gram_squared,
     neumann_trace_inverse,
-    sample_channel,
     zf_eta_exact,
     zf_snr_instantaneous,
 )
+from corrdiv import kernels, montecarlo
 
 
 def rng(seed=0):
@@ -26,15 +26,15 @@ def rng(seed=0):
 
 
 def iid_channel(generator, l, m):
-    return ChannelMatrix(draw_fading(generator, l, m))
+    return draw_fading(generator, l, m, n_trials=1)[0]
 
 
 class TestDrawFading:
     def test_batch_equals_successive_single_draws(self):
-        # one 130-trial block reads the stream exactly as 130 single trials do
+        # one 130-trial block reads the stream exactly as 130 one-trial blocks do
         batch = draw_fading(rng(4), 3, 5, n_trials=130)
         g = rng(4)
-        singles = np.stack([draw_fading(g, 3, 5) for _ in range(130)])
+        singles = np.concatenate([draw_fading(g, 3, 5, n_trials=1) for _ in range(130)])
         assert batch.shape == (130, 3, 5)
         assert np.array_equal(batch, singles)
 
@@ -44,27 +44,39 @@ class TestDrawFading:
         assert np.array_equal(draw_fading(rng(5), 3, 5, n_trials=130), want)
 
 
+def conjugate_factors(*rs):
+    return np.stack([factor(r).factor.conj().T for r in rs])
+
+
+def row_covariance(h, l):
+    """Sample E[conj(h_l) h_l^T] over the trials of an (n, L, M) channel batch."""
+    return np.einsum("ti,tj->ij", h[:, l].conj(), h[:, l]) / len(h)
+
+
 class TestSampleChannel:
+    """The covariance of the channels ``kernels.channels`` synthesizes."""
+
     def test_identity_covariance(self):
-        factors = [factor(build_exponential(4, 0.0))] * 2
-        g = rng(1)
-        acc = np.zeros((4, 4), dtype=np.complex128)
-        n = 10_000
-        for _ in range(n):
-            h = sample_channel(factors, g).entries
-            acc += h[0][:, None].conj() * h[0][None, :]
-        assert np.max(np.abs(acc / n - np.eye(4))) < 0.05
+        bh = conjugate_factors(*[build_exponential(4, 0.0)] * 2)
+        h = kernels.channels(draw_fading(rng(1), 2, 4, n_trials=10_000), bh)
+        assert np.max(np.abs(row_covariance(h, 0) - np.eye(4))) < 0.05
 
     def test_correlated_covariance(self):
         r = build_exponential(4, 0.9)
-        factors = [factor(r)] * 2
-        g = rng(2)
-        acc = np.zeros((4, 4), dtype=np.complex128)
-        n = 10_000
-        for _ in range(n):
-            h = sample_channel(factors, g).entries
-            acc += h[1][:, None].conj() * h[1][None, :]
-        assert np.max(np.abs(acc / n - r.entries)) < 0.05
+        h = kernels.channels(draw_fading(rng(2), 2, 4, n_trials=10_000), conjugate_factors(r, r))
+        assert np.max(np.abs(row_covariance(h, 1) - r.entries)) < 0.05
+
+    def test_clerckx_covariance(self):
+        # the engine's phase-ramped shared factor, against each terminal's own matrix
+        spec = CorrelationModelSpec(variant="clerckx", xi=0.8, phase_range_deg=(10.0, 38.0))
+        scenario = montecarlo.Scenario(m=4, l=2, model=spec, n_drops=1, n_fading=1, seed=9)
+        _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(9, 0, 1))
+        lane1 = montecarlo._stream(9, 0, 1)
+        deltas = [float(lane1.uniform(10.0, 38.0)) for _ in range(2)]
+        h = kernels.channels(draw_fading(rng(3), 2, 4, n_trials=10_000), bh)
+        for l, delta in enumerate(deltas):
+            want = build_clerckx(4, 0.8, delta).entries
+            assert np.max(np.abs(row_covariance(h, l) - want)) < 0.05
 
     def test_zero_stream_stub(self):
         class ZeroStream:
@@ -72,49 +84,48 @@ class TestSampleChannel:
                 out[...] = 0.0
                 return out
 
-        factors = [factor(build_exponential(3, 0.5))] * 2
-        h = sample_channel(factors, ZeroStream())
-        assert np.all(h.entries == 0)
+        bh = conjugate_factors(*[build_exponential(3, 0.5)] * 2)
+        h = kernels.channels(draw_fading(ZeroStream(), 2, 3, n_trials=1), bh)
+        assert np.all(h == 0)
 
     def test_rejects_more_terminals_than_antennas(self):
-        factors = [factor(build_exponential(2, 0.0))] * 3
-        with pytest.raises(InvalidParameterError):
-            sample_channel(factors, rng())
+        with pytest.raises(InvalidParameterError, match="L <= M"):
+            zf_eta_exact(np.ones((3, 2), dtype=np.complex128))
 
 
 class TestEtaExact:
     def test_orthogonal_rows(self):
         # rows scaled so HH^H = M I
         m, l = 4, 2
-        h = ChannelMatrix(np.sqrt(m) * np.eye(l, m, dtype=np.complex128))
+        h = np.sqrt(m) * np.eye(l, m, dtype=np.complex128)
         assert zf_eta_exact(h) == pytest.approx(1.0 / m)
 
     def test_scalar_case(self):
-        h = ChannelMatrix(np.array([[1.0 + 0j, 1.0]]))
+        h = np.array([[1.0 + 0j, 1.0]])
         assert zf_eta_exact(h) == pytest.approx(0.5)
 
     def test_matches_cofactor_inverse_oracle(self):
         h = iid_channel(rng(3), 2, 4)
-        g = h.entries @ h.entries.conj().T
+        g = h @ h.conj().T
         a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
         trace_inv = ((d + a) / (a * d - b * c)).real
         assert zf_eta_exact(h) == pytest.approx(trace_inv / 2, rel=1e-12)
 
     def test_scaling_law(self):
         h = iid_channel(rng(4), 3, 8)
-        scaled = ChannelMatrix(2.0 * h.entries)
+        scaled = 2.0 * h
         assert zf_eta_exact(scaled) == pytest.approx(zf_eta_exact(h) / 4.0, rel=1e-12)
 
     def test_ill_conditioned_raises(self):
         e = np.ones((2, 4), dtype=np.complex128)  # identical rows, singular Gram
         with pytest.raises(IllConditionedChannelError):
-            zf_eta_exact(ChannelMatrix(e))
+            zf_eta_exact(e)
 
 
 class TestInstantaneousSnr:
     def test_unit_case(self):
         m, l = 4, 2
-        h = ChannelMatrix(np.eye(l, m, dtype=np.complex128))  # Gram = I, eta = 1
+        h = np.eye(l, m, dtype=np.complex128)  # Gram = I, eta = 1
         report = zf_snr_instantaneous(h, [1.0, 1.0], rho_t=1.0, sigma2=1.0)
         assert report.eta == pytest.approx(1.0)
         assert np.allclose(report.per_terminal_snr_linear, 1.0)
@@ -142,13 +153,13 @@ class TestInstantaneousSnr:
 class TestNeumann:
     def test_zero_correction_fixed_point(self):
         m, l = 8, 3
-        h = ChannelMatrix(np.sqrt(m) * np.eye(l, m, dtype=np.complex128))
+        h = np.sqrt(m) * np.eye(l, m, dtype=np.complex128)
         for order in (1, 2, 3):
             assert neumann_trace_inverse(h, order) == pytest.approx(l / m, rel=1e-12)
 
     def test_second_order_formula(self):
         h = iid_channel(rng(7), 4, 32)
-        g = h.entries @ h.entries.conj().T
+        g = h @ h.conj().T
         m = 32
         by_hand = (
             3 * 4 - 3 * np.trace(g).real / m + np.trace(g @ g).real / m**2
