@@ -1,7 +1,7 @@
 """Spatial correlation matrices for a uniform linear array.
 
-Three constructors (exponential, complex-phase exponential, one-ring), an
-eigen-based factorization for correlated channel synthesis, and the
+Three constructors (exponential, complex-phase exponential, one-ring), a
+pivoted-Cholesky factorization for correlated channel synthesis, and the
 average-correlation diversity summary used by the closed-form SNR.
 """
 
@@ -20,9 +20,12 @@ from .errors import (
     require_finite,
 )
 
-# eigenvalues in [PSD_FLOOR, 0) are rounding noise and get clamped; anything
-# below is treated as a construction bug
+# eigenvalues in [PSD_FLOOR, 0) are rounding noise; anything below is
+# treated as a construction bug
 PSD_FLOOR = -1e-10
+# factor() stops once the trace it leaves out is at most this, which for a
+# PSD matrix also bounds the Frobenius norm of what it leaves out
+_FACTOR_TOL = abs(PSD_FLOOR)
 
 _QUAD_START_ORDER = 32
 _QUAD_MAX_ORDER = 4096
@@ -65,7 +68,7 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class CorrelationFactor:
-    """Factor B with B @ B^H reproducing the source correlation matrix."""
+    """(M, r) factor B with B @ B^H reproducing the source correlation matrix."""
 
     factor: np.ndarray
 
@@ -182,10 +185,14 @@ def _gl_nodes(order):
 def _one_ring_lags(m, spread_rad, mean_rad, spacing, order):
     x, w = _gl_nodes(order)
     phi = mean_rad + spread_rad * x
-    lags = np.arange(m, dtype=np.float64)
+    # row k holds z^k for z = e^{-j 2 pi d sin(phi)}: one exp per node and a
+    # running product over the lags, whose rounding grows like k * eps
+    kernel = np.empty((m, order), np.complex128)
+    kernel[0] = 1.0
+    kernel[1:] = np.exp(-2j * np.pi * spacing * np.sin(phi))
+    np.cumprod(kernel, axis=0, out=kernel)
     # (1/(2*spread)) * integral over [mean - spread, mean + spread] collapses
     # to 0.5 * sum(w * f) under the affine map to [-1, 1]
-    kernel = np.exp(-2j * np.pi * spacing * np.outer(lags, np.sin(phi)))
     return 0.5 * (kernel @ w)
 
 
@@ -235,18 +242,45 @@ def build_one_ring(
 
 
 def factor(r: CorrelationMatrix) -> CorrelationFactor:
-    """Eigen-factorization B with B @ B^H = R, tolerating rank deficiency.
+    """Pivoted Cholesky factor C, (M, rank), with C @ C^H = R up to 1e-10.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
-    ``IndefiniteMatrixError``. The tests check the reconstruction to 1e-8 for
-    every family.
+    Each step takes the largest remaining diagonal entry of the Schur
+    complement as its pivot, and the factor stops once the complement's
+    trace sum(max(d_i, 0)) is at most ``_FACTOR_TOL``. For a PSD matrix that
+    bounds ||R - C C^H||_F <= Tr[R - C C^H] <= 1e-10, so a rank-deficient
+    one-ring profile costs O(M r^2), plus O(M^2 r) for the residual check,
+    and yields r columns. The residual check
+    guards indefiniteness: by Weyl's inequality ||R - C C^H||_2 >= -lam_min(R),
+    so a matrix with an eigenvalue below ``PSD_FLOOR`` by more than the
+    rounding slack 2 M (r + 1) eps raises ``IndefiniteMatrixError``. The tests
+    check the reconstruction to 1e-8 for every family.
     """
-    lam, vec = np.linalg.eigh(r.entries)
-    if lam[0] < PSD_FLOOR:
+    a = np.asarray(r.entries, dtype=np.complex128)
+    m = a.shape[0]
+    d = a.diagonal().real.copy()
+    # row k of bh is column k of C conjugated, so each update reads
+    # contiguous rows and C^H comes out ready for synthesis
+    bh = np.zeros((m, m), np.complex128)
+    k = 0
+    while k < m and np.maximum(d, 0.0).sum() > _FACTOR_TOL:
+        p = int(d.argmax())
+        # row p of R, less what the first k columns explain, is column p of
+        # the Schur complement conjugated
+        row = bh[k]
+        np.subtract(a[p], bh[:k, p].conj() @ bh[:k], out=row)
+        row *= 1.0 / np.sqrt(d[p])
+        d -= (row * row.conj()).real
+        d[p] = 0.0  # zero in exact arithmetic; rounding must not pick p twice
+        k += 1
+    bh = bh[:k]
+    c = bh.conj().T
+    residual = float(np.linalg.norm(a - c @ bh))
+    if residual > _FACTOR_TOL + 2.0 * m * (k + 1) * np.finfo(np.float64).eps:
         raise IndefiniteMatrixError(
-            f"correlation matrix is indefinite (smallest eigenvalue {lam[0]:.3e})"
+            f"correlation matrix is indefinite (||R - C C^H||_F = {residual:.3e} "
+            f"after {k} pivots)"
         )
-    return CorrelationFactor(vec.astype(np.complex128) * np.sqrt(np.clip(lam, 0.0, None)))
+    return CorrelationFactor(c)
 
 
 def average_correlation(rs) -> tuple:

@@ -32,7 +32,8 @@ class DimensionMismatchError(CorrDivError):
 
 
 class IndefiniteMatrixError(CorrDivError):
-    """A correlation matrix has an eigenvalue below the -1e-10 repair floor."""
+    """A correlation matrix has an eigenvalue below the -1e-10 floor, beyond
+    what rounding in its factor explains."""
 
 
 class QuadratureNonconvergenceError(CorrDivError):

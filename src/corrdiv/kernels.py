@@ -25,11 +25,12 @@ def _eigen_stats(gram):
     return np.stack([trace_inv, lam[:, 0], lam[:, -1]], axis=1)
 
 
-def channels(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
-    """Correlated channels ``h[t, l] = w[t, l] @ bh[l]``, shaped like ``w``."""
+def channels(w: np.ndarray, bh) -> np.ndarray:
+    """Correlated channels ``h[t, l] = w[t, l, :r_l] @ bh[l]``, shaped like ``w``,
+    for terminal l's (r_l, M) conjugate-transposed factor ``bh[l]``."""
     h = np.empty_like(w)
-    for l in range(w.shape[1]):
-        h[:, l, :] = w[:, l, :] @ bh[l]
+    for l, b in enumerate(bh):
+        h[:, l, :] = w[:, l, : len(b)] @ b
     return h
 
 
@@ -52,7 +53,7 @@ def gram_stats(h: np.ndarray) -> np.ndarray:
     return stats
 
 
-def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
+def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
     """Per-trial [Tr[(HH^H)^-1], lam_lo, lam_hi] for a batch of trials.
 
     ``lam_lo <= lam_min`` and ``lam_hi >= lam_max`` bound the Gram matrix's
@@ -67,15 +68,19 @@ def gram_eta_stats(w: np.ndarray, bh: np.ndarray) -> np.ndarray:
     ----------
     w : (n_trials, L, M) complex128
         iid CN(0, 1) fading draws.
-    bh : (L, M, M) complex128
-        Per-terminal conjugate-transposed correlation factors, so that
-        row l of trial t is ``w[t, l] @ bh[l]``.
+    bh : sequence of L complex128 arrays, each (r_l, M) with r_l <= M
+        Per-terminal conjugate-transposed correlation factors, so that row l
+        of trial t is ``w[t, l, :r_l] @ bh[l]``: an (L, M, M) or (L, r, M)
+        stack, or a list whose ranks differ.
     """
     w = np.ascontiguousarray(w, dtype=np.complex128)
-    bh = np.ascontiguousarray(bh, dtype=np.complex128)
-    if w.ndim != 3 or bh.ndim != 3 or w.shape[1] != bh.shape[0] or w.shape[2] != bh.shape[1]:
+    bh = [np.asarray(b, dtype=np.complex128) for b in bh]
+    m = w.shape[-1]
+    if w.ndim != 3 or len(bh) != w.shape[1] or any(
+        b.ndim != 2 or b.shape[0] > m or b.shape[1] != m for b in bh
+    ):
         raise InvalidParameterError(
-            f"incompatible kernel shapes: w {w.shape}, bh {bh.shape}"
+            f"incompatible kernel shapes: w {w.shape}, bh {[b.shape for b in bh]}"
         )
     # named, h outlives gram_stats's temporaries: half the page faults at M=256
     h = channels(w, bh)

@@ -1,15 +1,17 @@
 """Drop x fading-trial Monte Carlo orchestration and aggregation.
 
-Randomness discipline (RNG contract 3): every stream is derived from the
+Randomness discipline (RNG contract 4): every stream is derived from the
 scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding an
 SFC64 generator. Lane 0 carries geometry and shadowing, lane 1 the
 per-terminal correlation parameters, lane 2 the drop's whole fading block and
-lane 3 the redraws of ill-conditioned trials, taken in trial order. Drops are
-therefore independent work units whose results do not depend on worker count
-or scheduling order, and scenarios of equal (n_fading, L, M) share their
-fading block drop by drop. ``run_scenarios`` exploits that: it loops over
-drops outermost and, within a drop, draws the block once for every scenario
-of that shape and the kernel statistics once per correlation model.
+lane 3 the redraws of ill-conditioned trials, taken in trial order. Terminal
+l's channel reads the first r_l columns of its row of the block, where r_l is
+the rank of its pivoted-Cholesky factor. Drops are therefore independent work
+units whose results do not depend on worker count or scheduling order, and
+scenarios of equal (n_fading, L, M) share their fading block drop by drop.
+``run_scenarios`` exploits that: it loops over drops outermost and, within a
+drop, draws the block once for every scenario of that shape and the kernel
+statistics once per correlation model.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +51,7 @@ from .zfcore import (
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
-RNG_CONTRACT = 3
+RNG_CONTRACT = 4
 
 _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
@@ -182,7 +184,7 @@ def _exponential_profile(m: int, xi: float):
     """The exponential matrix and its read-only conjugate-transposed factor.
 
     Both depend on (M, xi) alone, so every drop of an exponential or Clerckx
-    scenario, and of the calibration baseline, shares one eigendecomposition.
+    scenario, and of the calibration baseline, shares one factorization.
     """
     r = build_exponential(m, xi)
     bh = factor(r).factor.conj().T
@@ -192,7 +194,9 @@ def _exponential_profile(m: int, xi: float):
 
 def _terminal_profiles(scenario: Scenario, rng):
     """Lane 1: the drop's Tr[Rbar^2] and the terminals' conjugate-transposed
-    correlation factors, (L, M, M).
+    correlation factors, one (r_l, M) array per terminal: an (L, r, M) stack
+    for the exponential and Clerckx families, whose terminals share a rank,
+    and a list for the one-ring family.
 
     Draw order inside the model lane is fixed: all mean-DOA draws first, then
     all spread draws. Scenarios differing only in the spread rule therefore
@@ -203,7 +207,7 @@ def _terminal_profiles(scenario: Scenario, rng):
     if model.variant == "exponential":
         r, bh = _exponential_profile(m, model.xi)
         _, trace_sq = average_correlation([r] * n)
-        return trace_sq, np.broadcast_to(bh, (n, m, m))
+        return trace_sq, np.broadcast_to(bh, (n,) + bh.shape)
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
         deltas = [float(rng.uniform(lo, hi)) for _ in range(n)]
@@ -224,13 +228,13 @@ def _terminal_profiles(scenario: Scenario, rng):
         spreads = [float(model.angular_spread_deg)] * n
     rs = [build_one_ring(m, s, d, model.spacing_wavelengths) for s, d in zip(spreads, doas)]
     _, trace_sq = average_correlation(rs)
-    return trace_sq, np.stack([factor(r).factor.conj().T for r in rs])
+    return trace_sq, [factor(r).factor.conj().T for r in rs]
 
 
 def _draw_geometry(scenario: Scenario, drop_index: int):
     """Lane 0: each terminal's distance, then each terminal's shadowing."""
     gen_geo = _stream(scenario.seed, drop_index, _GEOMETRY_LANE)
-    # the azimuths are drawn and dropped: contract 3 fixes the lane's order
+    # the azimuths are drawn and dropped: the contract fixes the lane's order
     distances = [
         sample_terminal_geometry(scenario.geometry, gen_geo, scenario.radial_law)[0]
         for _ in range(scenario.l)

@@ -60,6 +60,13 @@ class GeometryConfig:
             raise InvalidParameterError(
                 "attenuation constant must be positive", field="attenuation_constant"
             )
+        edge_gain = link_gain(self, 1.0, self.cell_radius_m)
+        if edge_gain < np.finfo(np.float64).tiny:
+            raise InvalidParameterError(
+                f"the cell-edge gain A (r0/Rc)^alpha = {edge_gain:.3e} underflows; "
+                f"lower the attenuation exponent",
+                field=("attenuation_exponent", "attenuation_constant"),
+            )
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,21 @@ class MeasuredAngularModel:
             spread_std_deg=self.spread_std_deg,
             spread_floor_deg=self.spread_floor_deg,
         )
-        if self.spread_floor_deg <= 0:
-            raise InvalidParameterError("spread floor must be positive", field="spread_floor_deg")
+        if not 0 < self.spread_floor_deg <= 180:
+            raise InvalidParameterError(
+                "spread floor must be in (0, 180] deg", field="spread_floor_deg"
+            )
         if self.spread_std_deg < 0:
             raise InvalidParameterError("spread std cannot be negative", field="spread_std_deg")
         if self.spread_std_deg == 0 and self.spread_mean_deg < self.spread_floor_deg:
             raise InvalidParameterError(
                 "with a zero spread std, the spread mean must clear the spread floor",
                 field=("spread_mean_deg", "spread_floor_deg"),
+            )
+        if self.spread_std_deg == 0 and self.spread_mean_deg > 180:
+            raise InvalidParameterError(
+                "with a zero spread std, the spread mean cannot exceed 180 deg",
+                field="spread_mean_deg",
             )
 
 
@@ -133,17 +147,18 @@ def link_gain(config: GeometryConfig, shadowing_linear: float, distance_m: float
 
 
 def draw_truncated_spread(model: MeasuredAngularModel, rng) -> float:
-    """One angular spread from the measured fit, redrawn until it clears the floor.
+    """One angular spread from the measured fit, redrawn until it lies in
+    [floor, 180] deg, the spreads a one-ring profile accepts.
 
     ``_MAX_SPREAD_DRAWS`` misses in a row raise ``RunFailureError``, aborting the drop.
     """
     for _ in range(_MAX_SPREAD_DRAWS):
         spread = rng.normal(model.spread_mean_deg, model.spread_std_deg)
-        if spread >= model.spread_floor_deg:
+        if model.spread_floor_deg <= spread <= 180.0:
             return float(spread)
     raise RunFailureError(
         f"{_MAX_SPREAD_DRAWS} angular spreads in a row fell below the floor "
-        f"{model.spread_floor_deg} deg"
+        f"{model.spread_floor_deg} deg or above 180 deg"
     )
 
 

@@ -12,6 +12,7 @@ import yaml
 
 import corrdiv
 from corrdiv.cli import load_scenario_file, main, scenario_to_dict
+from corrdiv.montecarlo import RNG_CONTRACT
 
 MINIMAL = """\
 m: 8
@@ -130,7 +131,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_path), "--out", str(out)])
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-        assert manifest["rng_contract"] == 3
+        assert manifest["rng_contract"] == RNG_CONTRACT
         assert "rng_contract" not in manifest["run"]
 
     def test_degenerate_run_exits_one(self, tmp_path, capsys):
@@ -198,6 +199,9 @@ class TestValidation:
             ("model.measured.spread_floor_deg", "0.0"),
             # below the default reference distance, which the file does not set
             ("geometry.cell_radius_m", "40.0"),
+            # (50/500)^400 underflows every link gain to zero
+            ("geometry.alpha", "400.0"),
+            ("model.measured.spread_floor_deg", "181.0"),
         ],
     )
     def test_rejected_value_is_located_at_its_key(self, tmp_path, capsys, label, value):
@@ -210,7 +214,7 @@ class TestValidation:
         assert f"{scenario}:{line}: {label}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["1", "2", "4", "true", "'2'", "'3'"])
+    @pytest.mark.parametrize("value", ["1", "2", "5", "true", "'2'", "'3'"])
     def test_foreign_rng_contract_is_located(self, tmp_path, capsys, value):
         scenario = write_scenario(tmp_path, f"rng_contract: {value}\n" + MINIMAL)
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
@@ -220,8 +224,21 @@ class TestValidation:
 
     def test_current_rng_contract_is_accepted(self, tmp_path):
         plain = write_scenario(tmp_path, MINIMAL, "plain.yaml")
-        stamped = write_scenario(tmp_path, "rng_contract: 3\n" + MINIMAL, "stamped.yaml")
+        stamped = write_scenario(
+            tmp_path, f"rng_contract: {RNG_CONTRACT}\n" + MINIMAL, "stamped.yaml"
+        )
         assert load_scenario_file(stamped) == load_scenario_file(plain)
+
+    def test_contract_three_file_is_located(self, tmp_path, capsys):
+        # contract 3 factored by eigendecomposition and synthesized through
+        # all M columns, so its outputs are not reproducible under contract 4
+        scenario = write_scenario(tmp_path, MINIMAL + "rng_contract: 3\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        line = len(MINIMAL.splitlines()) + 1
+        assert f"{scenario}:{line}: rng_contract: written under RNG contract 3" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_is_located(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, MINIMAL + "bogus_knob: 3\n")
@@ -295,6 +312,30 @@ class TestValidation:
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
         assert "below the floor 1.0 deg" in done.stderr
+
+    def test_spread_mean_near_180_runs(self, tmp_path):
+        # draws above 180 deg are redrawn, as those below the floor are
+        text = (
+            SPREAD_BELOW_FLOOR.format(std="6.45")
+            .replace("spread_mean_deg: 0.5", "spread_mean_deg: 175.0")
+            .replace("n_drops: 2", "n_drops: 20")
+        )
+        scenario = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        summary = dict(read_rows(out / "summary.csv")[1:])
+        assert summary["n_drops_completed"] == "20"
+        assert summary["n_drops_failed"] == "0"
+
+    def test_fixed_spread_above_180_exits_two(self, tmp_path, capsys):
+        text = SPREAD_BELOW_FLOOR.format(std="0.0").replace(
+            "spread_mean_deg: 0.5", "spread_mean_deg: 190.0"
+        )
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        line = text.splitlines().index("    spread_mean_deg: 190.0") + 1
+        assert f"{scenario}:{line}: model.measured.spread_mean_deg:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_geometry_requires_a_constant_or_calibration(self, tmp_path, capsys):
         text = MINIMAL.replace("  attenuation_constant: 1.0", "  cell_radius_m: 400.0")
@@ -425,7 +466,7 @@ class TestCalibrateCommand:
         assert achieved == pytest.approx(0.0, abs=1e-6)
         resolved = yaml.safe_load((out / "base.resolved.yaml").read_text())
         assert resolved["geometry"]["attenuation_constant"] == pytest.approx(constant)
-        assert resolved["rng_contract"] == 3
+        assert resolved["rng_contract"] == RNG_CONTRACT
 
     def test_rerun_gives_identical_constant(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, CALIBRATE, "base.yaml")

@@ -2,6 +2,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from corrdiv import (
     build_one_ring,
     factor,
 )
+from corrdiv.corrmodels import _one_ring_lags
 from corrdiv.errors import DimensionMismatchError
+from corrdiv.propagation import MeasuredAngularModel, draw_truncated_spread
 
 # independent quadrature anchors: composite Simpson at 1e6 panels,
 # one-ring (spread 14.02 deg, mean DOA 30 deg, spacing 0.5), column lags
@@ -163,10 +166,13 @@ def test_factor_near_singular_one_ring():
     ids=["exponential", "clerckx", "one_ring"],
 )
 def test_factor_reconstructs_every_family(build, m):
-    # factor() leaves this O(M^3) check to the tests
     r = build(m)
     b = factor(r).factor
-    assert np.max(np.abs(b @ b.conj().T - r.entries)) <= 1e-8
+    assert b.shape[0] == m and 1 <= b.shape[1] <= m
+    residual = r.entries - b @ b.conj().T
+    assert np.max(np.abs(residual)) <= 1e-8
+    # the pivoted Cholesky stopping rule bounds the dropped mass
+    assert np.trace(residual).real <= 1e-10
 
 
 def test_factor_rejects_indefinite_matrix():
@@ -175,6 +181,60 @@ def test_factor_rejects_indefinite_matrix():
     r = CorrelationMatrix(bad)  # structural checks pass, PSD does not
     with pytest.raises(IndefiniteMatrixError):
         factor(r)
+
+
+def test_factor_rejects_eigenvalues_below_unit_bound():
+    # entries past unit magnitude never pass CorrelationMatrix, so a stand-in
+    # carries them; the first pivot explains the whole trace and leaves -3
+    bad = SimpleNamespace(entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(IndefiniteMatrixError):
+        factor(bad)
+
+
+def test_factor_rejects_small_negative_eigenvalue():
+    # a numerically rank-deficient one-ring with its smallest eigenvalue
+    # moved to -1e-8, rescaled to a unit diagonal
+    lam, vec = np.linalg.eigh(build_one_ring(16, 2.0, 20.0, 0.5).entries)
+    lam[0] = -1e-8
+    a = (vec * lam) @ vec.conj().T
+    scale = 1.0 / np.sqrt(a.diagonal().real)
+    a = scale[:, np.newaxis] * a * scale
+    a = 0.5 * (a + a.conj().T)
+    np.fill_diagonal(a, 1.0)
+    r = CorrelationMatrix(a)
+    assert -1.1e-8 < np.linalg.eigvalsh(a)[0] < -0.9e-8
+    with pytest.raises(IndefiniteMatrixError):
+        factor(r)
+
+
+def test_factor_accepts_rank_deficient_profiles():
+    b = factor(build_exponential(64, 1.0)).factor
+    assert b.shape == (64, 1)
+    r = build_one_ring(256, 2.0, 0.0, 0.5)
+    b = factor(r).factor
+    assert b.shape[1] < 256
+    assert np.max(np.abs(r.entries - b @ b.conj().T)) <= 1e-8
+
+
+def test_factor_rank_tracks_the_eigenvalue_count():
+    generator = np.random.Generator(np.random.SFC64(17))
+    model = MeasuredAngularModel()
+    for _ in range(12):
+        spread = draw_truncated_spread(model, generator)
+        r = build_one_ring(256, spread, float(generator.uniform(-180.0, 180.0)), 0.5)
+        rank = factor(r).factor.shape[1]
+        count = int(np.sum(np.linalg.eigvalsh(r.entries) > 1e-10))
+        assert abs(rank - count) <= 3, (spread, rank, count)
+
+
+@pytest.mark.parametrize("order", [128, 256, 512])
+def test_recurrence_kernel_matches_direct_exponentials(order):
+    m, spread, mean, spacing = 256, np.deg2rad(14.02), np.deg2rad(30.0), 0.5
+    x, w = np.polynomial.legendre.leggauss(order)
+    phi = mean + spread * x
+    direct = np.exp(-2j * np.pi * spacing * np.outer(np.arange(m), np.sin(phi)))
+    want = 0.5 * (direct @ w)
+    assert np.max(np.abs(_one_ring_lags(m, spread, mean, spacing, order) - want)) <= 1e-12
 
 
 def test_average_correlation_identical_copies():

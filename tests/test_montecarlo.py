@@ -379,6 +379,19 @@ class TestRunScenario:
             assert a.drop_index == b.drop_index
             assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
 
+    def test_worker_count_does_not_change_ragged_rank_results(self):
+        # measured one-ring factors at M=128 keep a different rank per terminal
+        model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
+        scenario = Scenario(m=128, l=8, model=model, n_drops=3, n_fading=40, seed=21)
+        _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(21, 0, 1))
+        ranks = [len(b) for b in bh]
+        assert len(set(ranks)) > 1 and max(ranks) < 128
+        serial, pooled = (
+            run_scenarios([scenario], workers=w, collect_instantaneous=True)[0] for w in (1, 2)
+        )
+        assert serial.summary == pooled.summary
+        assert_same_drops(serial, pooled)
+
     def test_failed_drops_fail_the_run(self):
         scenario = exp_scenario(m=4, l=2, model=DEGENERATE, n_drops=1, n_fading=4, seed=3)
         with pytest.raises(RunFailureError, match="aborted"):

@@ -78,6 +78,16 @@ class TestSampleChannel:
             want = build_clerckx(4, 0.8, delta).entries
             assert np.max(np.abs(row_covariance(h, l) - want)) < 0.05
 
+    def test_ragged_rank_covariance(self):
+        # pivoted-Cholesky factors of different ranks read each terminal's
+        # leading columns of one (n, L, M) block
+        rs = [build_one_ring(256, 5.0, -40.0, 0.5), build_one_ring(256, 20.0, 25.0, 0.5)]
+        bh = [factor(r).factor.conj().T for r in rs]
+        assert len(bh[0]) < len(bh[1]) < 256
+        h = kernels.channels(draw_fading(rng(4), 2, 256, n_trials=8000), bh)
+        for l, r in enumerate(rs):
+            assert np.max(np.abs(row_covariance(h, l) - r.entries)) < 0.05
+
     def test_zero_stream_stub(self):
         class ZeroStream:
             def standard_normal(self, out):
