@@ -20,7 +20,7 @@ from corrdiv.zfcore import draw_fading
 def make_batch(m, l, trials, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     w = draw_fading(rng, l, m, n_trials=trials)
-    bh_single = factor(build_exponential(m, 0.9)).factor.conj().T
+    bh_single = factor(build_exponential(m, 0.9))
     bh = np.ascontiguousarray(np.broadcast_to(bh_single, (l, m, m)))
     return w, bh
 

@@ -1,7 +1,6 @@
 """Correlation-diversity Monte Carlo engine for downlink zero-forcing MU-MIMO."""
 
 from .corrmodels import (
-    CorrelationFactor,
     CorrelationMatrix,
     CorrelationModelSpec,
     average_correlation,
@@ -26,7 +25,6 @@ from .montecarlo import (
     Scenario,
     ScenarioResult,
     calibrate_attenuation_constant,
-    collect_instantaneous_snr_db,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
@@ -42,21 +40,18 @@ from .propagation import (
     sample_terminal_geometry,
 )
 from .zfcore import (
-    SnrReport,
     draw_fading,
     expected_sum_se_closed_form,
     expected_zf_snr_closed_form,
     moment_trace_gram_squared,
     neumann_trace_inverse,
     zf_eta_exact,
-    zf_snr_instantaneous,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CorrDivError",
-    "CorrelationFactor",
     "CorrelationMatrix",
     "CorrelationModelSpec",
     "DimensionMismatchError",
@@ -71,13 +66,11 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioResult",
-    "SnrReport",
     "average_correlation",
     "build_clerckx",
     "build_exponential",
     "build_one_ring",
     "calibrate_attenuation_constant",
-    "collect_instantaneous_snr_db",
     "draw_fading",
     "empirical_cdf",
     "expected_sum_se_closed_form",
@@ -95,5 +88,4 @@ __all__ = [
     "sample_link_gain",
     "sample_terminal_geometry",
     "zf_eta_exact",
-    "zf_snr_instantaneous",
 ]

@@ -19,13 +19,14 @@ from .errors import CorrDivError, InvalidParameterError, ScenarioError
 from .montecarlo import (
     RNG_CONTRACT,
     Scenario,
+    calibration_baseline,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
     pooled_instantaneous_snr_db,
     run_scenarios,
 )
-from .propagation import GeometryConfig, MeasuredAngularModel, calibration_baseline
+from .propagation import GeometryConfig, MeasuredAngularModel
 
 # entry points the commands no longer call, kept in this namespace because
 # bench/trace_cli.py wraps them here
@@ -309,7 +310,10 @@ def _fmt(value) -> str:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        try:
+            scenario = replace(scenario, seed=args.seed)
+        except InvalidParameterError as exc:
+            raise ScenarioError(f"--seed {args.seed}: {exc}")
     return scenario
 
 
@@ -517,6 +521,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
         return args.handler(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,24 +54,6 @@ class CorrelationMatrix:
     def order(self) -> int:
         return self.entries.shape[0]
 
-    def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def validate(self):
-        """Full invariant check including the eigenvalue floor."""
-        lam_min = self.smallest_eigenvalue()
-        if lam_min < PSD_FLOOR:
-            raise IndefiniteMatrixError(
-                f"smallest eigenvalue {lam_min:.3e} is below the {PSD_FLOOR} floor"
-            )
-
-
-@dataclass(frozen=True)
-class CorrelationFactor:
-    """(M, r) factor B with B @ B^H reproducing the source correlation matrix."""
-
-    factor: np.ndarray
-
 
 @dataclass(frozen=True)
 class CorrelationModelSpec:
@@ -241,15 +223,16 @@ def build_one_ring(
     return CorrelationMatrix(_hermitian_toeplitz(vals))
 
 
-def factor(r: CorrelationMatrix) -> CorrelationFactor:
-    """Pivoted Cholesky factor C, (M, rank), with C @ C^H = R up to 1e-10.
+def factor(r: CorrelationMatrix) -> np.ndarray:
+    """Conjugate-transposed pivoted Cholesky factor C^H, (rank, M), with
+    C C^H = R up to 1e-10: the layout channel synthesis reads.
 
     Each step takes the largest remaining diagonal entry of the Schur
     complement as its pivot, and the factor stops once the complement's
     trace sum(max(d_i, 0)) is at most ``_FACTOR_TOL``. For a PSD matrix that
     bounds ||R - C C^H||_F <= Tr[R - C C^H] <= 1e-10, so a rank-deficient
     one-ring profile costs O(M r^2), plus O(M^2 r) for the residual check,
-    and yields r columns. The residual check
+    and yields r rows. The residual check
     guards indefiniteness: by Weyl's inequality ||R - C C^H||_2 >= -lam_min(R),
     so a matrix with an eigenvalue below ``PSD_FLOOR`` by more than the
     rounding slack 2 M (r + 1) eps raises ``IndefiniteMatrixError``. The tests
@@ -259,7 +242,7 @@ def factor(r: CorrelationMatrix) -> CorrelationFactor:
     m = a.shape[0]
     d = a.diagonal().real.copy()
     # row k of bh is column k of C conjugated, so each update reads
-    # contiguous rows and C^H comes out ready for synthesis
+    # contiguous rows
     bh = np.zeros((m, m), np.complex128)
     k = 0
     while k < m and np.maximum(d, 0.0).sum() > _FACTOR_TOL:
@@ -272,15 +255,16 @@ def factor(r: CorrelationMatrix) -> CorrelationFactor:
         d -= (row * row.conj()).real
         d[p] = 0.0  # zero in exact arithmetic; rounding must not pick p twice
         k += 1
-    bh = bh[:k]
-    c = bh.conj().T
-    residual = float(np.linalg.norm(a - c @ bh))
+    # a compact copy: a view would keep the whole M x M work buffer alive
+    # for as long as the caller holds the factor
+    bh = bh[:k].copy()
+    residual = float(np.linalg.norm(a - bh.conj().T @ bh))
     if residual > _FACTOR_TOL + 2.0 * m * (k + 1) * np.finfo(np.float64).eps:
         raise IndefiniteMatrixError(
             f"correlation matrix is indefinite (||R - C C^H||_F = {residual:.3e} "
             f"after {k} pivots)"
         )
-    return CorrelationFactor(c)
+    return bh
 
 
 def average_correlation(rs) -> tuple:

@@ -12,6 +12,10 @@ scenarios of equal (n_fading, L, M) share their fading block drop by drop.
 ``run_scenarios`` exploits that: it loops over drops outermost and, within a
 drop, draws the block once for every scenario of that shape and the kernel
 statistics once per correlation model.
+
+Calibration lives here too: the attenuation constant A that puts the 5th
+percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
+baseline, the reference configuration ``_REFERENCE`` under its geometry.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -35,13 +39,10 @@ from .kernels import COND_MAX
 from .propagation import (
     GeometryConfig,
     MeasuredAngularModel,
-    _require_baseline,
-    attenuation_from_samples,
     draw_truncated_spread,
     link_gain,
     sample_link_gain,
     sample_terminal_geometry,
-    unit_baseline,
 )
 from .zfcore import (
     draw_fading,
@@ -59,6 +60,15 @@ _FADING_LANE = 2
 _REDRAW_LANE = 3
 # a single trial redrawn this often means the ensemble itself is degenerate
 _MAX_REDRAWS = 64
+# the configuration calibration solves on; a scenario keeps its geometry,
+# noise power, seed, run sizes and radial law
+_REFERENCE = {
+    "m": 64,
+    "l": 6,
+    "rho_t_db": 0.0,
+    "model": CorrelationModelSpec(variant="exponential", xi=0.9),
+    "measured_model": None,
+}
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def _exponential_profile(m: int, xi: float):
     scenario, and of the calibration baseline, shares one factorization.
     """
     r = build_exponential(m, xi)
-    bh = factor(r).factor.conj().T
+    bh = factor(r)
     bh.setflags(write=False)
     return r, bh
 
@@ -228,7 +238,7 @@ def _terminal_profiles(scenario: Scenario, rng):
         spreads = [float(model.angular_spread_deg)] * n
     rs = [build_one_ring(m, s, d, model.spacing_wavelengths) for s, d in zip(spreads, doas)]
     _, trace_sq = average_correlation(rs)
-    return trace_sq, [factor(r).factor.conj().T for r in rs]
+    return trace_sq, [factor(r) for r in rs]
 
 
 def _draw_geometry(scenario: Scenario, drop_index: int):
@@ -420,6 +430,25 @@ def _result(scenario: Scenario, outcomes, collect_instantaneous: bool) -> Scenar
     return ScenarioResult(scenario, drops, _summarize(drops, len(failures)))
 
 
+def calibration_baseline(scenario: Scenario) -> Scenario:
+    """The reference configuration under ``scenario``'s geometry, noise power,
+    seed, run sizes and radial law."""
+    return replace(scenario, **_REFERENCE)
+
+
+def unit_baseline(scenario: Scenario) -> Scenario:
+    """``scenario``'s calibration baseline at A = 1, the run calibration solves on."""
+    baseline = calibration_baseline(scenario)
+    return replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
+
+
+def attenuation_from_samples(samples_db) -> float:
+    """A putting the 5th percentile of instantaneous ZF SNR samples drawn at A = 1
+    at 0 dB. Instantaneous SNR is exactly linear in A, so a rescale solves it."""
+    p5_db = float(np.percentile(samples_db, 5.0))
+    return 10.0 ** (-p5_db / 10.0)
+
+
 def run_scenarios(
     scenarios, workers: int = 1, collect_instantaneous: bool = False, calibrate: bool = False
 ) -> list:
@@ -487,11 +516,6 @@ def run_scenario(
     return result
 
 
-def collect_instantaneous_snr_db(scenario: Scenario, workers: int = 1) -> np.ndarray:
-    """Pooled per-(drop, trial, terminal) instantaneous ZF SNR samples in dB."""
-    return pooled_instantaneous_snr_db(run_scenario(scenario, workers, collect_instantaneous=True))
-
-
 def calibrate_attenuation_constant(baseline: Scenario) -> float:
     """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
 
@@ -499,8 +523,15 @@ def calibrate_attenuation_constant(baseline: Scenario) -> float:
     given the scenario seed. ``run_scenarios(..., calibrate=True)`` gives the
     same constant from a pass it shares with other scenarios.
     """
-    _require_baseline(baseline)
-    return attenuation_from_samples(collect_instantaneous_snr_db(unit_baseline(baseline)))
+    if calibration_baseline(baseline) != baseline:
+        ref = _REFERENCE
+        raise InvalidParameterError(
+            f"calibration requires the reference configuration: M={ref['m']}, "
+            f"L={ref['l']}, rho_t={ref['rho_t_db']:g} dB, {ref['model'].variant} model "
+            f"with xi={ref['model'].xi}"
+        )
+    unit = run_scenario(unit_baseline(baseline), collect_instantaneous=True)
+    return attenuation_from_samples(pooled_instantaneous_snr_db(unit))
 
 
 def pooled_instantaneous_snr_db(result: ScenarioResult) -> np.ndarray:

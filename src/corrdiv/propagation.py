@@ -1,28 +1,15 @@
 """Terminal geometry, shadowing, link gains, and angular-spread draws.
 
 Link gain model: beta = A * zeta * (r0 / r)^alpha with lognormal shadowing
-zeta (10*log10(zeta) ~ N(0, sigma_sh^2)). The attenuation constant A is
-calibrated (``montecarlo.calibrate_attenuation_constant``) so that the 5th
-percentile of instantaneous ZF SNR hits 0 dB on the reference
-configuration, ``_REFERENCE``.
+zeta (10*log10(zeta) ~ N(0, sigma_sh^2)) and attenuation constant A.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmodels import CorrelationModelSpec
 from .errors import InvalidParameterError, RunFailureError, require_finite
 
-# the configuration calibration solves on; a scenario keeps its geometry,
-# noise power, seed, run sizes and radial law
-_REFERENCE = {
-    "m": 64,
-    "l": 6,
-    "rho_t_db": 0.0,
-    "model": CorrelationModelSpec(variant="exponential", xi=0.9),
-    "measured_model": None,
-}
 # a floor that this many draws in a row miss is out of the measured model's
 # reach; at the default fit each draw misses with probability 0.022
 _MAX_SPREAD_DRAWS = 64
@@ -160,32 +147,3 @@ def draw_truncated_spread(model: MeasuredAngularModel, rng) -> float:
         f"{_MAX_SPREAD_DRAWS} angular spreads in a row fell below the floor "
         f"{model.spread_floor_deg} deg or above 180 deg"
     )
-
-
-def calibration_baseline(scenario):
-    """The reference configuration under ``scenario``'s geometry, noise power,
-    seed, run sizes and radial law."""
-    return replace(scenario, **_REFERENCE)
-
-
-def _require_baseline(scenario):
-    if calibration_baseline(scenario) != scenario:
-        ref = _REFERENCE
-        raise InvalidParameterError(
-            f"calibration requires the reference configuration: M={ref['m']}, "
-            f"L={ref['l']}, rho_t={ref['rho_t_db']:g} dB, {ref['model'].variant} model "
-            f"with xi={ref['model'].xi}"
-        )
-
-
-def unit_baseline(scenario):
-    """``scenario``'s calibration baseline at A = 1, the run calibration solves on."""
-    baseline = calibration_baseline(scenario)
-    return replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
-
-
-def attenuation_from_samples(samples_db) -> float:
-    """A putting the 5th percentile of instantaneous ZF SNR samples drawn at A = 1
-    at 0 dB. Instantaneous SNR is exactly linear in A, so a rescale solves it."""
-    p5_db = float(np.percentile(samples_db, 5.0))
-    return 10.0 ** (-p5_db / 10.0)

@@ -12,7 +12,6 @@ closed-form expected SNR driven by the diversity summary Tr[Rbar^2].
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,6 @@ from .errors import IllConditionedChannelError, InvalidParameterError
 from .kernels import COND_MAX, conditioned, gram_stats
 
 _NEUMANN_ORDERS = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    per_terminal_snr_linear: np.ndarray
-    eta: float
-    sum_se_bits: float
 
 
 def draw_fading(rng, n_terminals: int, n_antennas: int, n_trials: int) -> np.ndarray:
@@ -62,19 +54,6 @@ def zf_eta_exact(h) -> float:
             f"Gram matrix condition {cond:.3e} exceeds {COND_MAX:.0e}"
         )
     return float(stats[0, 0]) / h.shape[0]
-
-
-def zf_snr_instantaneous(h, betas, rho_t: float, sigma2: float) -> SnrReport:
-    """Per-terminal ZF SNR and sum spectral efficiency for one (L, M) fading draw."""
-    h = _channel(h)
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.shape != (h.shape[0],):
-        raise InvalidParameterError(f"need {h.shape[0]} link gains, got shape {betas.shape}")
-    if np.any(betas <= 0) or rho_t <= 0 or sigma2 <= 0:
-        raise InvalidParameterError("link gains, rho_t and sigma2 must be positive")
-    eta = zf_eta_exact(h)
-    snr = rho_t * betas / (sigma2 * eta)
-    return SnrReport(snr, eta, float(np.sum(np.log2(1.0 + snr))))
 
 
 def neumann_trace_inverse(h, order: int) -> float:

@@ -337,6 +337,21 @@ class TestValidation:
         assert f"{scenario}:{line}: model.measured.spread_mean_deg:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0"), ("--workers", "-2")],
+    )
+    def test_rejected_override_exits_two(self, tmp_path, capsys, command, flag, value):
+        scenario = write_scenario(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        args = [command, "--scenario", str(scenario), "--out", str(out), flag, value]
+        if command == "compare":
+            args += ["--scenario", str(scenario)]
+        assert main(args) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_geometry_requires_a_constant_or_calibration(self, tmp_path, capsys):
         text = MINIMAL.replace("  attenuation_constant: 1.0", "  cell_radius_m: 400.0")
         scenario = write_scenario(tmp_path, text)

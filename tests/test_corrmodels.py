@@ -20,7 +20,7 @@ from corrdiv import (
     build_one_ring,
     factor,
 )
-from corrdiv.corrmodels import _one_ring_lags
+from corrdiv.corrmodels import PSD_FLOOR, _one_ring_lags
 from corrdiv.errors import DimensionMismatchError
 from corrdiv.propagation import MeasuredAngularModel, draw_truncated_spread
 
@@ -82,8 +82,8 @@ def test_clerckx_quarter_turn_entries():
 
 def test_clerckx_is_valid_correlation_matrix():
     r = build_clerckx(8, 0.9, 37.0)
-    r.validate()  # Hermitian + unit diagonal checked at construction, PSD here
-    assert r.smallest_eigenvalue() >= -1e-10
+    # Hermitian + unit diagonal checked at construction, PSD here
+    assert np.linalg.eigvalsh(r.entries)[0] >= PSD_FLOOR
 
 
 def test_clerckx_magnitudes_match_exponential():
@@ -139,20 +139,20 @@ def test_one_ring_quadrature_nonconvergence():
 
 
 def test_factor_identity():
-    b = factor(build_exponential(4, 0.0)).factor
-    assert np.allclose(b @ b.conj().T, np.eye(4), atol=1e-12)
+    bh = factor(build_exponential(4, 0.0))
+    assert np.allclose(bh.conj().T @ bh, np.eye(4), atol=1e-12)
 
 
 def test_factor_reconstructs_exponential():
     r = build_exponential(2, 0.9)
-    b = factor(r).factor
-    assert np.max(np.abs(b @ b.conj().T - r.entries)) < 1e-12
+    bh = factor(r)
+    assert np.max(np.abs(bh.conj().T @ bh - r.entries)) < 1e-12
 
 
 def test_factor_near_singular_one_ring():
     r = build_one_ring(6, 1e-6, 10.0, 0.5)  # numerically rank one
-    b = factor(r).factor
-    assert np.max(np.abs(b @ b.conj().T - r.entries)) <= 1e-8
+    bh = factor(r)
+    assert np.max(np.abs(bh.conj().T @ bh - r.entries)) <= 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 256])
@@ -167,9 +167,9 @@ def test_factor_near_singular_one_ring():
 )
 def test_factor_reconstructs_every_family(build, m):
     r = build(m)
-    b = factor(r).factor
-    assert b.shape[0] == m and 1 <= b.shape[1] <= m
-    residual = r.entries - b @ b.conj().T
+    bh = factor(r)
+    assert bh.shape[1] == m and 1 <= bh.shape[0] <= m
+    residual = r.entries - bh.conj().T @ bh
     assert np.max(np.abs(residual)) <= 1e-8
     # the pivoted Cholesky stopping rule bounds the dropped mass
     assert np.trace(residual).real <= 1e-10
@@ -208,12 +208,21 @@ def test_factor_rejects_small_negative_eigenvalue():
 
 
 def test_factor_accepts_rank_deficient_profiles():
-    b = factor(build_exponential(64, 1.0)).factor
-    assert b.shape == (64, 1)
+    bh = factor(build_exponential(64, 1.0))
+    assert bh.shape == (1, 64)
     r = build_one_ring(256, 2.0, 0.0, 0.5)
-    b = factor(r).factor
-    assert b.shape[1] < 256
-    assert np.max(np.abs(r.entries - b @ b.conj().T)) <= 1e-8
+    bh = factor(r)
+    assert bh.shape[0] < 256
+    assert np.max(np.abs(r.entries - bh.conj().T @ bh)) <= 1e-8
+
+
+def test_factor_returns_a_compact_array():
+    # a view of the M x M work buffer would keep all of it alive for as long
+    # as the engine holds the factor
+    bh = factor(build_one_ring(256, 2.0, 0.0, 0.5))
+    assert bh.shape[0] < bh.shape[1] == 256
+    assert bh.flags.c_contiguous
+    assert bh.flags.owndata
 
 
 def test_factor_rank_tracks_the_eigenvalue_count():
@@ -222,7 +231,7 @@ def test_factor_rank_tracks_the_eigenvalue_count():
     for _ in range(12):
         spread = draw_truncated_spread(model, generator)
         r = build_one_ring(256, spread, float(generator.uniform(-180.0, 180.0)), 0.5)
-        rank = factor(r).factor.shape[1]
+        rank = factor(r).shape[0]
         count = int(np.sum(np.linalg.eigvalsh(r.entries) > 1e-10))
         assert abs(rank - count) <= 3, (spread, rank, count)
 
@@ -307,7 +316,7 @@ def test_randomized_constructions_keep_invariants():
         assert np.array_equal(r.entries, r.entries.conj().T)
         assert np.all(r.entries.diagonal() == 1.0)
         assert np.all(np.abs(r.entries) <= 1 + 1e-9)
-        r.validate()
+        assert np.linalg.eigvalsh(r.entries)[0] >= PSD_FLOOR
 
 
 def test_toeplitz_builds_match_scipy_exactly():

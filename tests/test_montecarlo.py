@@ -9,11 +9,11 @@ import pytest
 from corrdiv import kernels, montecarlo
 from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
-from corrdiv.propagation import calibration_baseline
 from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
     Scenario,
     calibrate_attenuation_constant,
+    calibration_baseline,
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,

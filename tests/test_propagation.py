@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corrdiv import (
-    CorrelationFactor,
     CorrelationModelSpec,
     GeometryConfig,
     InvalidParameterError,
@@ -12,13 +11,15 @@ from corrdiv import (
     RunFailureError,
     Scenario,
     calibrate_attenuation_constant,
-    collect_instantaneous_snr_db,
     percentile,
+    pooled_instantaneous_snr_db,
+    run_scenario,
     sample_link_gain,
     sample_terminal_geometry,
 )
 from corrdiv import montecarlo, propagation
-from corrdiv.propagation import calibration_baseline, draw_truncated_spread
+from corrdiv.montecarlo import calibration_baseline
+from corrdiv.propagation import draw_truncated_spread
 
 
 def rng(seed=0):
@@ -190,7 +191,7 @@ class TestAngularParams:
             montecarlo, "build_one_ring", lambda m, spread, doa, spacing: doas.append(doa)
         )
         monkeypatch.setattr(montecarlo, "average_correlation", lambda rs: (None, 50.0))
-        monkeypatch.setattr(montecarlo, "factor", lambda r: CorrelationFactor(np.ones((1, 1))))
+        monkeypatch.setattr(montecarlo, "factor", lambda r: np.ones((1, 1)))
         scenario = Scenario(
             m=50,
             l=50,
@@ -224,11 +225,16 @@ class TestAngularParams:
             MeasuredAngularModel(**{field: value})
 
 
+def instantaneous_snr_db(scenario):
+    """Pooled per-(drop, trial, terminal) instantaneous ZF SNR samples in dB."""
+    return pooled_instantaneous_snr_db(run_scenario(scenario, collect_instantaneous=True))
+
+
 def bisect_attenuation(baseline):
     """Oracle: A found by bisecting log10(A) on the 5th percentile of the
     baseline's instantaneous SNR samples, rescaled to each trial A."""
     unit = replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
-    samples_db = collect_instantaneous_snr_db(unit)
+    samples_db = instantaneous_snr_db(unit)
     p5_at = lambda log_a: percentile(samples_db + 10.0 * log_a, 5.0)  # noqa: E731
     lo, hi = -12.0, 12.0
     assert p5_at(lo) < 0 < p5_at(hi)
@@ -261,11 +267,11 @@ class TestCalibration:
         # instantaneous SNR scales linearly with A, so the percentile in dB
         # shifts by exactly 10*log10(2) when A doubles
         base = small_baseline()
-        single = collect_instantaneous_snr_db(base)
+        single = instantaneous_snr_db(base)
         doubled_scenario = replace(
             base, geometry=replace(base.geometry, attenuation_constant=2.0)
         )
-        doubled = collect_instantaneous_snr_db(doubled_scenario)
+        doubled = instantaneous_snr_db(doubled_scenario)
         shift = percentile(doubled, 5.0) - percentile(single, 5.0)
         assert shift == pytest.approx(10 * np.log10(2.0), abs=1e-9)
 
@@ -273,7 +279,7 @@ class TestCalibration:
         base = small_baseline()
         a = calibrate_attenuation_constant(base)
         calibrated = replace(base, geometry=replace(base.geometry, attenuation_constant=a))
-        achieved = percentile(collect_instantaneous_snr_db(calibrated), 5.0)
+        achieved = percentile(instantaneous_snr_db(calibrated), 5.0)
         assert abs(achieved) < 1e-9
 
     def test_rejects_non_baseline_scenario(self):
