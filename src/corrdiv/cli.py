@@ -411,7 +411,7 @@ def cmd_compare(args) -> int:
         stem = Path(p).stem
         labels.append(stem if stem not in labels else f"{stem}#{i}")
 
-    # one drop-major pass: the scenarios read the same fading block in each drop
+    # one drop-major pass: the scenarios read the same fading streams in each drop
     results = run_scenarios(scenarios, workers=args.workers, calibrate=flags[0])
     pooled = [pooled_expected_snr_db(r) for r in results]
 
@@ -456,8 +456,8 @@ def cmd_calibrate(args) -> int:
             path=str(args.scenario),
         )
     scenario = _apply_overrides(scenario, args)
-    # the pass that calibrates also aggregates the baseline at the constant,
-    # which gives the achieved percentile
+    # the pass that calibrates also aggregates the baseline's draws at the
+    # constant, at any worker count, which gives the achieved percentile
     (result,) = run_scenarios(
         [calibration_baseline(scenario)],
         workers=args.workers,

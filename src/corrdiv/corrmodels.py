@@ -270,8 +270,8 @@ def factor(r: CorrelationMatrix) -> np.ndarray:
 def average_correlation(rs) -> tuple:
     """Entrywise mean of the terminal correlation matrices and Tr[Rbar^2].
 
-    Returns ``(rbar, trace_sq)``. The trace is computed both as the direct
-    product trace and through the Hermitian identity
+    Returns ``(rbar, trace_sq)``. The trace is computed both directly, as
+    ``sum_ij rbar_ij rbar_ji`` in O(M^2), and through the Hermitian identity
     ``M + 2 * sum_{i<j} |rbar_ij|^2``; the two routes must agree to 1e-9
     relative error or the call fails.
     """
@@ -281,10 +281,14 @@ def average_correlation(rs) -> tuple:
     if any(r.order != m for r in rs):
         raise DimensionMismatchError("correlation matrices differ in order")
 
-    rbar = np.mean([r.entries for r in rs], axis=0)
+    # summed in place, in order: no (L, M, M) stack
+    rbar = np.zeros((m, m), np.result_type(*[r.entries for r in rs]))
+    for r in rs:
+        rbar += r.entries
+    rbar /= len(rs)
     upper = rbar[np.triu_indices(m, k=1)]
     trace_sq = m + 2.0 * float(np.sum(np.abs(upper) ** 2))
-    direct = float(np.trace(rbar @ rbar).real)
+    direct = float(np.einsum("ij,ji->", rbar, rbar).real)
     if abs(direct - trace_sq) > 1e-9 * max(abs(trace_sq), 1.0):
         raise CorrDivError(
             f"Tr[Rbar^2] routes disagree: product {direct!r} vs identity {trace_sq!r}"

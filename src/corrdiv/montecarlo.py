@@ -1,17 +1,20 @@
 """Drop x fading-trial Monte Carlo orchestration and aggregation.
 
-Randomness discipline (RNG contract 4): every stream is derived from the
-scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane)) feeding an
-SFC64 generator. Lane 0 carries geometry and shadowing, lane 1 the
-per-terminal correlation parameters, lane 2 the drop's whole fading block and
-lane 3 the redraws of ill-conditioned trials, taken in trial order. Terminal
-l's channel reads the first r_l columns of its row of the block, where r_l is
-the rank of its pivoted-Cholesky factor. Drops are therefore independent work
-units whose results do not depend on worker count or scheduling order, and
-scenarios of equal (n_fading, L, M) share their fading block drop by drop.
-``run_scenarios`` exploits that: it loops over drops outermost and, within a
-drop, draws the block once for every scenario of that shape and the kernel
-statistics once per correlation model.
+Randomness discipline (RNG contract 5): every stream is derived from the
+scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane, ...))
+feeding an SFC64 generator. Lane 0 carries geometry and shadowing, lane 1 the
+per-terminal correlation parameters, lane 2 one fading stream per terminal l
+(spawn key (drop, 2, l)) and lane 3 the redraws of ill-conditioned trials,
+taken in trial order. Terminal l's channel reads the first r_l columns of its
+fading, where r_l is the rank of its pivoted-Cholesky factor, and its stream
+fills column k for every trial before column k + 1, so those columns do not
+depend on how far the stream is drawn. Drops are therefore independent work
+units whose results do not depend on worker count, scheduling order or the
+other scenarios of a pass, and scenarios of equal (n_fading, L, M) share
+their fading drop by drop. ``run_scenarios`` exploits that: it loops over
+drops outermost and, within a drop, draws each terminal's fading once, to
+the largest rank any scenario of that shape reads, and the kernel statistics
+once per correlation model.
 
 Calibration lives here too: the attenuation constant A that puts the 5th
 percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
@@ -52,7 +55,7 @@ from .zfcore import (
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
-RNG_CONTRACT = 4
+RNG_CONTRACT = 5
 
 _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
@@ -184,8 +187,8 @@ def _shared_rank(model: CorrelationModelSpec, m: int) -> Optional[int]:
     return int(np.sum(lam > lam[-1] / COND_MAX))
 
 
-def _stream(seed: int, drop: int, lane: int):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(drop, lane))
+def _stream(seed: int, *spawn_key):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -253,26 +256,26 @@ def _draw_geometry(scenario: Scenario, drop_index: int):
     return distances, shadowing
 
 
-def _draw_kernel(scenario: Scenario, drop_index: int, fading):
-    """Lane 1's correlations, the Gram statistics of the drop's fading block
-    and the redraws of ill-conditioned trials, with their abort rules.
+def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
+    """The Gram statistics of the drop's fading and the redraws of
+    ill-conditioned trials, with their abort rules.
 
-    ``fading(scenario)`` returns the drop's lane-2 block. Returns
-    ``(trace_sq, stats, rejected)``.
+    ``bh`` holds the terminals' lane-1 factors and ``fading`` the drop's
+    lane-2 draws, (n_fading, L, >= r_l). Returns ``(stats, rejected)``.
     """
-    seed = scenario.seed
-    trace_sq, bh = _terminal_profiles(scenario, _stream(seed, drop_index, _MODEL_LANE))
-    stats = kernels.gram_eta_stats(fading(scenario), bh)
+    stats = kernels.gram_eta_stats(fading, bh)
 
     rejected = 0
     gen_redraw = None
+    ranks = [len(b) for b in bh]
     for t in np.flatnonzero(~kernels.conditioned(stats)):
         if gen_redraw is None:
-            gen_redraw = _stream(seed, drop_index, _REDRAW_LANE)
-        # every attempt takes the next one-trial block of the redraw lane
+            gen_redraw = _stream(scenario.seed, drop_index, _REDRAW_LANE)
+        # every attempt takes the next r_l pairs of the redraw lane for each
+        # terminal in turn
         for _ in range(_MAX_REDRAWS):
             rejected += 1
-            w_t = draw_fading(gen_redraw, scenario.l, scenario.m, n_trials=1)
+            w_t = draw_fading([gen_redraw] * scenario.l, ranks, n_trials=1)
             row = kernels.gram_eta_stats(w_t, bh)
             stats[t] = row[0]
             if kernels.conditioned(row)[0]:
@@ -286,42 +289,65 @@ def _draw_kernel(scenario: Scenario, drop_index: int, fading):
             f"{rejected} rejected trials out of {scenario.n_fading} exceeds "
             f"the 5% abort threshold"
         )
-    return trace_sq, stats, rejected
+    return stats, rejected
+
+
+def _fading_key(s: Scenario) -> tuple:
+    """What a drop's fading draws depend on."""
+    return (s.seed, s.n_fading, s.l, s.m)
 
 
 def _stats_key(s: Scenario) -> tuple:
     """What a drop's kernel statistics depend on."""
-    return (s.model, s.measured_model, s.m, s.l, s.n_fading, s.seed)
+    return (s.model, s.measured_model) + _fading_key(s)
 
 
 def _draw_drops(scenarios, drop_index: int) -> list:
     """One drop of every scenario: its ``_DropDraws`` or the ``CorrDivError``
     that aborted it.
 
-    Scenarios of equal (seed, n_fading, L, M) share the drop's fading block,
-    and those that also share the correlation model share its kernel
-    statistics. Both live only as long as this call.
+    Every correlation model's lane-1 profiles come first. Scenarios of equal
+    (seed, n_fading, L, M) then share the drop's fading, each terminal drawn
+    to the largest rank any of their profiles reads, and those that also
+    share the correlation model share its kernel statistics. All of it lives
+    only as long as this call.
     """
-    blocks, kernel_runs = {}, {}
+    firsts = {}
+    for s in scenarios:
+        firsts.setdefault(_stats_key(s), s)
+    runs = {}
+    for key, s in firsts.items():
+        try:
+            runs[key] = _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
+        except CorrDivError as exc:
+            runs[key] = exc
 
-    def fading(s):
-        key = (s.seed, s.n_fading, s.l, s.m)
-        if key not in blocks:
-            gen = _stream(s.seed, drop_index, _FADING_LANE)
-            blocks[key] = draw_fading(gen, s.l, s.m, n_trials=s.n_fading)
-        return blocks[key]
+    ranks = {}
+    for key, run in runs.items():
+        if not isinstance(run, CorrDivError):
+            shape = _fading_key(firsts[key])
+            ranks[shape] = np.maximum(ranks.get(shape, 0), [len(b) for b in run[1]])
+    fading = {
+        (seed, n, l, m): draw_fading(
+            [_stream(seed, drop_index, _FADING_LANE, t) for t in range(l)], need, n
+        )
+        for (seed, n, l, m), need in ranks.items()
+    }
+
+    for key, run in runs.items():
+        if isinstance(run, CorrDivError):
+            continue
+        s, (trace_sq, bh) = firsts[key], run
+        try:
+            runs[key] = (trace_sq,) + _draw_kernel(s, drop_index, bh, fading[_fading_key(s)])
+        except CorrDivError as exc:
+            runs[key] = exc
 
     outcomes = []
     for s in scenarios:
-        key = _stats_key(s)
         try:
             distances, shadowing = _draw_geometry(s, drop_index)
-            if key not in kernel_runs:
-                try:
-                    kernel_runs[key] = _draw_kernel(s, drop_index, fading)
-                except CorrDivError as exc:
-                    kernel_runs[key] = exc
-            kernel = kernel_runs[key]
+            kernel = runs[_stats_key(s)]
             if isinstance(kernel, CorrDivError):
                 raise kernel
             outcomes.append(_DropDraws(drop_index, distances, shadowing, *kernel))
@@ -436,10 +462,13 @@ def calibration_baseline(scenario: Scenario) -> Scenario:
     return replace(scenario, **_REFERENCE)
 
 
+def _at_attenuation(scenario: Scenario, constant: float) -> Scenario:
+    return replace(scenario, geometry=replace(scenario.geometry, attenuation_constant=constant))
+
+
 def unit_baseline(scenario: Scenario) -> Scenario:
     """``scenario``'s calibration baseline at A = 1, the run calibration solves on."""
-    baseline = calibration_baseline(scenario)
-    return replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
+    return _at_attenuation(calibration_baseline(scenario), 1.0)
 
 
 def attenuation_from_samples(samples_db) -> float:
@@ -456,7 +485,7 @@ def run_scenarios(
     result per scenario.
 
     The outer loop runs over drops, in-process or one pool task per drop.
-    Each drop draws its fading block once per (seed, n_fading, L, M) and its
+    Each drop draws its fading once per (seed, n_fading, L, M) and its
     kernel statistics once per correlation model, and frees both before the
     next drop. The attenuation constant, rho_t and sigma2 enter only when the
     drops are aggregated, so every result is bit-identical to a separate
@@ -466,8 +495,10 @@ def run_scenarios(
     ``calibrate_attenuation_constant`` gives for the calibration baseline of
     the first scenario, and each result's scenario carries that constant. The
     baseline joins the pass at A = 1 when ``workers`` is 1; with a pool it is
-    calibrated serially first, because pool workers each run a full BLAS
-    thread pool on the same cores and take several times longer per drop.
+    drawn serially first, because pool workers each run a full BLAS thread
+    pool on the same cores and take several times longer per drop. Either
+    way a scenario equal to the baseline up to its constant is aggregated
+    from the baseline's draws rather than drawn again.
     A scenario whose drops abort past 1% raises ``RunFailureError``, the
     first such scenario in order.
     """
@@ -479,28 +510,30 @@ def run_scenarios(
         raise InvalidParameterError(
             "run_scenarios needs scenarios of equal n_drops", field="n_drops"
         )
-    entries, constant = scenarios, None
+    entries, unit_outcomes = scenarios, None
     if calibrate:
         unit = unit_baseline(scenarios[0])
+        reuse = [_at_attenuation(s, 1.0) == unit for s in scenarios]
+        entries = [s for s, r in zip(scenarios, reuse) if not r]
         if workers > 1:
-            constant = calibrate_attenuation_constant(unit)
+            unit_outcomes = [_draw_drops([unit], d)[0] for d in range(n_drops)]
         else:
-            entries = [unit] + scenarios
+            entries = [unit] + entries
     tasks = [entries] * n_drops
-    if workers <= 1:
+    if workers <= 1 or not entries:
         per_drop = map(_draw_drops, tasks, range(n_drops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
     outcomes = [list(column) for column in zip(*per_drop)]
     if calibrate:
-        if constant is None:
-            unit = _result(entries[0], outcomes.pop(0), collect_instantaneous=True)
-            constant = attenuation_from_samples(pooled_instantaneous_snr_db(unit))
-        scenarios = [
-            replace(s, geometry=replace(s.geometry, attenuation_constant=constant))
-            for s in scenarios
-        ]
+        if unit_outcomes is None:
+            unit_outcomes = outcomes.pop(0)
+        drawn = iter(outcomes)
+        outcomes = [unit_outcomes if r else next(drawn) for r in reuse]
+        calibrated = _result(unit, unit_outcomes, collect_instantaneous=True)
+        constant = attenuation_from_samples(pooled_instantaneous_snr_db(calibrated))
+        scenarios = [_at_attenuation(s, constant) for s in scenarios]
     return [_result(s, o, collect_instantaneous) for s, o in zip(scenarios, outcomes)]
 
 

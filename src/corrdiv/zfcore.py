@@ -22,17 +22,24 @@ from .kernels import COND_MAX, conditioned, gram_stats
 _NEUMANN_ORDERS = (1, 2, 3)
 
 
-def draw_fading(rng, n_terminals: int, n_antennas: int, n_trials: int) -> np.ndarray:
-    """(n_trials, L, M) iid CN(0, 1) entries.
+def draw_fading(rngs, ranks, n_trials: int) -> np.ndarray:
+    """(n_trials, L, max(ranks)) CN(0, 1) entries: terminal l's first
+    ``ranks[l]`` columns come from ``rngs[l]``, and the rest stay zero.
 
-    The standard normals from ``rng`` fill the complex128 result in place as
-    interleaved (real, imaginary) pairs, so each trial reads 2LM normals and a
-    block is bit-identical to ``n_trials`` successive one-trial blocks.
+    The result is a view of a terminal-major (L, max(ranks), n_trials)
+    block. Terminal l's standard normals fill it in place as interleaved
+    (real, imaginary) pairs, column k for every trial before column k + 1,
+    so its first r columns are the same whatever rank it is drawn to. One
+    generator passed L times serves the terminals in turn, ``ranks[l] *
+    n_trials`` pairs each.
     """
-    w = np.empty((n_trials, n_terminals, n_antennas), np.complex128)
-    rng.standard_normal(out=w.view(np.float64))
-    w *= np.sqrt(0.5)
-    return w
+    ranks = [int(r) for r in ranks]
+    block = np.zeros((len(ranks), max(ranks, default=0), n_trials), np.complex128)
+    for rows, rng, r in zip(block, rngs, ranks, strict=True):
+        filled = rows[:r]
+        rng.standard_normal(out=filled.view(np.float64))
+        filled *= np.sqrt(0.5)
+    return block.transpose(2, 0, 1)
 
 
 def _channel(h) -> np.ndarray:

@@ -214,7 +214,7 @@ class TestValidation:
         assert f"{scenario}:{line}: {label}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["1", "2", "5", "true", "'2'", "'3'"])
+    @pytest.mark.parametrize("value", ["1", "2", "4", "6", "true", "'2'", "'3'"])
     def test_foreign_rng_contract_is_located(self, tmp_path, capsys, value):
         scenario = write_scenario(tmp_path, f"rng_contract: {value}\n" + MINIMAL)
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
@@ -231,7 +231,7 @@ class TestValidation:
 
     def test_contract_three_file_is_located(self, tmp_path, capsys):
         # contract 3 factored by eigendecomposition and synthesized through
-        # all M columns, so its outputs are not reproducible under contract 4
+        # all M columns, so its outputs are not reproducible under later ones
         scenario = write_scenario(tmp_path, MINIMAL + "rng_contract: 3\n")
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
         line = len(MINIMAL.splitlines()) + 1
@@ -482,6 +482,21 @@ class TestCalibrateCommand:
         resolved = yaml.safe_load((out / "base.resolved.yaml").read_text())
         assert resolved["geometry"]["attenuation_constant"] == pytest.approx(constant)
         assert resolved["rng_contract"] == RNG_CONTRACT
+
+    def test_worker_count_does_not_change_files(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, CALIBRATE, "base.yaml")
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            args = ["calibrate", "--scenario", str(scenario), "--out", str(out)]
+            assert main(args + ["--workers", workers]) == 0
+            outputs.append((out, capsys.readouterr().out.replace(str(out), "OUT")))
+        (one, stdout_one), (two, stdout_two) = outputs
+        assert stdout_one == stdout_two
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
     def test_rerun_gives_identical_constant(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, CALIBRATE, "base.yaml")

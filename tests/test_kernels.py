@@ -10,7 +10,7 @@ from corrdiv.zfcore import draw_fading
 
 def random_batch(n_trials=16, l=3, m=8, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
-    w = draw_fading(rng, l, m, n_trials)
+    w = draw_fading([rng] * l, [m] * l, n_trials)
     # random unit-diagonal Hermitian factors via random unitaries
     bh = np.empty((l, m, m), dtype=np.complex128)
     for i in range(l):
@@ -46,7 +46,7 @@ class TestNumpyPath:
 
     def test_identity_factors_give_the_inverse_trace(self):
         rng = np.random.Generator(np.random.Philox(5))
-        w = draw_fading(rng, 2, 4, 8)
+        w = draw_fading([rng] * 2, [4] * 2, 8)
         bh = np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4))
         stats = gram_eta_stats(w, bh)
         for t in range(8):
@@ -54,11 +54,30 @@ class TestNumpyPath:
             assert stats[t, 0] == pytest.approx(np.trace(np.linalg.inv(gram)).real, rel=1e-12)
 
 
+class TestChunks:
+    def test_rows_do_not_depend_on_the_width_of_w(self):
+        # chunks are sized from L and M alone, so a batch's whole-chunk
+        # eigenvalue fallback hits the same trials however many columns w
+        # carries: at L=4, M=64 a chunk holds 1024 trials
+        rng = np.random.default_rng(8)
+        n_trials, l, m, r = 2000, 4, 64, 40
+        z = rng.standard_normal((n_trials, l, 2 * m))
+        wide = np.sqrt(0.5) * (z[..., 0::2] + 1j * z[..., 1::2])
+        bh = rng.standard_normal((l, r, m)) + 1j * rng.standard_normal((l, r, m))
+        wide[0, 1] = 0.0  # trial 0's Gram matrix is singular
+        narrow = wide[:, :, :r].copy()
+        stats = gram_eta_stats(wide, bh)
+        assert not conditioned(stats)[0] and conditioned(stats)[1:].all()
+        np.testing.assert_array_equal(gram_eta_stats(narrow, bh), stats)
+
+
 def near_dependent_batch(eps, l=3, m=8, seed=3):
     """One trial per entry of ``eps``: terminal 1 is terminal 0 plus eps times
     fresh noise, so the Gram condition number grows like 1/eps^2."""
-    rng = np.random.default_rng(seed)
-    w = draw_fading(rng, l, m, n_trials=len(eps))
+    # interleaved pairs in trial-major order, so the eps values below keep
+    # the draws they were chosen on
+    z = np.random.default_rng(seed).standard_normal((len(eps), l, 2 * m))
+    w = np.sqrt(0.5) * (z[..., 0::2] + 1j * z[..., 1::2])
     for t, e in enumerate(eps):
         w[t, 1] = w[t, 0] + e * w[t, 1]
     bh = np.broadcast_to(np.eye(m, dtype=np.complex128), (l, m, m))

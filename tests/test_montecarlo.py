@@ -1,7 +1,9 @@
 """Tests for drop orchestration, aggregation, and the RNG lane discipline."""
 
+import ctypes
 import dataclasses
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,56 +234,58 @@ class KernelSpy:
 
 
 class DrawSpy:
-    """Wraps draw_fading and records (generator, n_trials) per call."""
+    """Wraps draw_fading and records (generators, ranks, n_trials) per call."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, rng, n_terminals, n_antennas, n_trials):
-        self.calls.append((rng, n_trials))
-        return draw_fading(rng, n_terminals, n_antennas, n_trials=n_trials)
+    def __call__(self, rngs, ranks, n_trials):
+        self.calls.append((list(rngs), list(ranks), n_trials))
+        return draw_fading(rngs, ranks, n_trials)
 
 
 class TestFadingStreams:
-    """RNG contract 2: lane 2 holds a drop's fading block, lane 3 its redraws."""
+    """RNG contract 5: lane 2 holds one fading stream per terminal, lane 3 the
+    drop's redraws."""
 
     def spy(self, monkeypatch, flags):
-        kernel, draws, lanes = KernelSpy(flags), DrawSpy(), []
+        kernel, draws, keys = KernelSpy(flags), DrawSpy(), []
         real_stream = montecarlo._stream
 
-        def stream(seed, drop, lane):
-            lanes.append(lane)
-            return real_stream(seed, drop, lane)
+        def stream(seed, *spawn_key):
+            keys.append(spawn_key)
+            return real_stream(seed, *spawn_key)
 
         monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
         monkeypatch.setattr(montecarlo, "draw_fading", draws)
         monkeypatch.setattr(montecarlo, "_stream", stream)
-        return kernel, draws, lanes
+        return kernel, draws, keys
 
     def test_block_comes_from_lane_two_in_one_call(self, monkeypatch):
         scenario = exp_scenario(n_fading=70)
-        kernel, draws, lanes = self.spy(monkeypatch, {})
+        kernel, draws, keys = self.spy(monkeypatch, {})
         drop = run_drop(scenario, 1)
         assert drop.rejected_trials == 0
-        assert lanes == [0, 1, 2]  # the redraw lane is never opened
-        assert [n for _, n in draws.calls] == [70]
-        block = draw_fading(montecarlo._stream(9, 1, 2), 2, 8, n_trials=70)
+        # one stream per terminal; the redraw lane is never opened
+        assert sorted(keys) == [(1, 0), (1, 1), (1, 2, 0), (1, 2, 1)]
+        assert [(r, n) for _, r, n in draws.calls] == [([8, 8], 70)]
+        block = draw_fading([montecarlo._stream(9, 1, 2, l) for l in range(2)], [8, 8], 70)
         assert np.array_equal(kernel.batches[0], block)
 
     def test_redraws_come_from_lane_three_in_trial_order(self, monkeypatch):
         scenario = exp_scenario(n_fading=100, seed=21)
         # trials 5 and 2 fail the screen; trial 2's first redraw fails too
-        kernel, draws, lanes = self.spy(monkeypatch, {0: (2, 5), 1: (0,)})
+        kernel, draws, keys = self.spy(monkeypatch, {0: (2, 5), 1: (0,)})
         drop = run_drop(scenario, 0, collect_instantaneous=True)
 
         assert drop.rejected_trials == 3
-        assert lanes == [0, 1, 2, 3]
-        assert [n for _, n in draws.calls] == [100, 1, 1, 1]
-        redraw_gens = {id(g) for g, _ in draws.calls[1:]}
+        assert sorted(k[1] for k in keys) == [0, 1, 2, 2, 3]
+        assert [n for *_, n in draws.calls] == [100, 1, 1, 1]
+        redraw_gens = {id(g) for gens, _, _ in draws.calls[1:] for g in gens}
         assert len(redraw_gens) == 1
 
         lane3 = montecarlo._stream(21, 0, 3)
-        expected = [draw_fading(lane3, 2, 8, n_trials=1) for _ in range(3)]
+        expected = [draw_fading([lane3] * 2, [8, 8], n_trials=1) for _ in range(3)]
         for got, want in zip(kernel.batches[1:], expected):
             assert np.array_equal(got, want)
 
@@ -391,6 +395,34 @@ class TestRunScenario:
         )
         assert serial.summary == pooled.summary
         assert_same_drops(serial, pooled)
+
+    def test_blas_thread_count_does_not_change_results(self):
+        # numpy's bundled OpenBLAS sets its pool size in-process
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        found = sorted(libs.glob("libscipy_openblas64_*.so"))
+        if not found:
+            pytest.skip("numpy does not bundle scipy-openblas64")
+        blas = ctypes.CDLL(str(found[0]))
+        default = blas.scipy_openblas_get_num_threads64_()
+        one_ring = Scenario(
+            m=128,
+            l=8,
+            model=CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured"),
+            n_drops=2,
+            n_fading=300,
+            seed=21,
+        )
+        clerckx = Scenario(m=64, l=6, model=CLERCKX, n_drops=2, n_fading=300, seed=21)
+        runs = []
+        try:
+            for threads in (1, default):
+                blas.scipy_openblas_set_num_threads64_(threads)
+                runs.append([run_scenario(s, collect_instantaneous=True) for s in (one_ring, clerckx)])
+        finally:
+            blas.scipy_openblas_set_num_threads64_(default)
+        for single, pooled in zip(*runs):
+            assert single.summary == pooled.summary
+            assert_same_drops(single, pooled)
 
     def test_failed_drops_fail_the_run(self):
         scenario = exp_scenario(m=4, l=2, model=DEGENERATE, n_drops=1, n_fading=4, seed=3)
@@ -507,11 +539,45 @@ class TestRunScenarios:
         monkeypatch.setattr(montecarlo, "draw_fading", draws)
         results = run_scenarios(scenarios, calibrate=True)
 
-        assert [n for _, n in draws.calls] == [10, 10]
+        assert [n for *_, n in draws.calls] == [10, 10]
         # per drop: one call for the baseline and both exponential runs, one
         # for the Clerckx run
         assert len(kernel.batches) == 2 * 2
         assert all(r.summary["rejected_trials_total"] == 0 for r in results)
+
+    def test_one_ring_result_does_not_depend_on_the_pass(self):
+        # beside an exponential run every terminal's fading is drawn to full
+        # rank; alone, only to the one-ring ranks. 300 trials at M=128, L=8
+        # take two kernel chunks
+        model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
+        one_ring = Scenario(m=128, l=8, model=model, n_drops=2, n_fading=300, seed=21)
+        exponential = replace(one_ring, model=CorrelationModelSpec(variant="exponential", xi=0.5))
+        _, bh = montecarlo._terminal_profiles(one_ring, montecarlo._stream(21, 0, 1))
+        assert max(len(b) for b in bh) < 128
+        (alone,) = run_scenarios([one_ring], collect_instantaneous=True)
+        shared = run_scenarios([exponential, one_ring], collect_instantaneous=True)[1]
+        assert alone.summary == shared.summary
+        assert_same_drops(alone, shared)
+
+    def test_pooled_calibration_draws_the_baseline_once(self, monkeypatch):
+        # a scenario equal to the baseline up to A takes the calibration
+        # pass's draws, so no pool starts and each drop reaches the kernel once
+        baseline = calibration_baseline(self.reference_shape(n_drops=3))
+        (serial,) = run_scenarios([baseline], collect_instantaneous=True, calibrate=True)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the baseline was drawn again in a pool")
+
+        kernel = KernelSpy({})
+        monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        (pooled,) = run_scenarios(
+            [baseline], workers=2, collect_instantaneous=True, calibrate=True
+        )
+        assert len(kernel.batches) == 3
+        assert pooled.scenario == serial.scenario
+        assert pooled.summary == serial.summary
+        assert_same_drops(pooled, serial)
 
     # serially the baseline joins the pass; with a pool it is calibrated first
     @pytest.mark.parametrize("workers", [1, 2])

@@ -24,23 +24,42 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def iid_block(generator, l, m, n_trials):
+    """(n_trials, L, M) iid CN(0, 1) entries, every terminal drawn to full rank."""
+    return draw_fading([generator] * l, [m] * l, n_trials)
+
+
 def iid_channel(generator, l, m):
-    return draw_fading(generator, l, m, n_trials=1)[0]
+    return iid_block(generator, l, m, n_trials=1)[0]
 
 
 class TestDrawFading:
-    def test_batch_equals_successive_single_draws(self):
-        # one 130-trial block reads the stream exactly as 130 one-trial blocks do
-        batch = draw_fading(rng(4), 3, 5, n_trials=130)
-        g = rng(4)
-        singles = np.concatenate([draw_fading(g, 3, 5, n_trials=1) for _ in range(130)])
-        assert batch.shape == (130, 3, 5)
-        assert np.array_equal(batch, singles)
+    def test_first_columns_do_not_depend_on_the_rank(self):
+        # terminal l's first r columns are the same drawn to r or to more
+        low = draw_fading([rng(4), rng(5), rng(6)], [2, 5, 1], n_trials=130)
+        high = draw_fading([rng(4), rng(5), rng(6)], [4, 7, 9], n_trials=130)
+        assert low.shape == (130, 3, 5) and high.shape == (130, 3, 9)
+        for l, r in enumerate([2, 5, 1]):
+            assert np.array_equal(low[:, l, :r], high[:, l, :r])
+            assert np.all(low[:, l, r:] == 0)
 
     def test_batch_reads_one_block_interleaved(self):
-        z = rng(5).standard_normal((130, 3, 10))
-        want = np.sqrt(0.5) * (z[..., 0::2] + 1j * z[..., 1::2])
-        assert np.array_equal(draw_fading(rng(5), 3, 5, n_trials=130), want)
+        # each terminal's stream fills its columns in order, every trial of
+        # column k before column k + 1, as interleaved (real, imaginary) pairs
+        w = draw_fading([rng(5), rng(6)], [4, 3], n_trials=130)
+        for l, (seed, r) in enumerate([(5, 4), (6, 3)]):
+            z = rng(seed).standard_normal((r, 260))
+            want = np.sqrt(0.5) * (z[:, 0::2] + 1j * z[:, 1::2])
+            assert np.array_equal(w[:, l, :r], want.T)
+
+    def test_shared_generator_draws_each_terminal_in_turn(self):
+        # the redraw rule: one trial takes r_l pairs per terminal, in order
+        w = draw_fading([rng(7)] * 3, [2, 4, 1], n_trials=1)
+        z = rng(7).standard_normal(14)
+        pairs = np.sqrt(0.5) * (z[0::2] + 1j * z[1::2])
+        assert np.array_equal(w[0, 0, :2], pairs[:2])
+        assert np.array_equal(w[0, 1, :4], pairs[2:6])
+        assert np.array_equal(w[0, 2, :1], pairs[6:])
 
 
 def conjugate_factors(*rs):
@@ -57,12 +76,12 @@ class TestSampleChannel:
 
     def test_identity_covariance(self):
         bh = conjugate_factors(*[build_exponential(4, 0.0)] * 2)
-        h = kernels.channels(draw_fading(rng(1), 2, 4, n_trials=10_000), bh)
+        h = kernels.channels(iid_block(rng(1), 2, 4, 10_000), bh)
         assert np.max(np.abs(row_covariance(h, 0) - np.eye(4))) < 0.05
 
     def test_correlated_covariance(self):
         r = build_exponential(4, 0.9)
-        h = kernels.channels(draw_fading(rng(2), 2, 4, n_trials=10_000), conjugate_factors(r, r))
+        h = kernels.channels(iid_block(rng(2), 2, 4, 10_000), conjugate_factors(r, r))
         assert np.max(np.abs(row_covariance(h, 1) - r.entries)) < 0.05
 
     def test_clerckx_covariance(self):
@@ -72,18 +91,19 @@ class TestSampleChannel:
         _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(9, 0, 1))
         lane1 = montecarlo._stream(9, 0, 1)
         deltas = [float(lane1.uniform(10.0, 38.0)) for _ in range(2)]
-        h = kernels.channels(draw_fading(rng(3), 2, 4, n_trials=10_000), bh)
+        h = kernels.channels(iid_block(rng(3), 2, 4, 10_000), bh)
         for l, delta in enumerate(deltas):
             want = build_clerckx(4, 0.8, delta).entries
             assert np.max(np.abs(row_covariance(h, l) - want)) < 0.05
 
     def test_ragged_rank_covariance(self):
         # pivoted-Cholesky factors of different ranks read each terminal's
-        # leading columns of one (n, L, M) block
+        # leading columns of one block drawn to each terminal's rank
         rs = [build_one_ring(256, 5.0, -40.0, 0.5), build_one_ring(256, 20.0, 25.0, 0.5)]
         bh = [factor(r) for r in rs]
         assert len(bh[0]) < len(bh[1]) < 256
-        h = kernels.channels(draw_fading(rng(4), 2, 256, n_trials=8000), bh)
+        w = draw_fading([rng(4), rng(5)], [len(b) for b in bh], n_trials=8000)
+        h = kernels.channels(w, bh)
         for l, r in enumerate(rs):
             assert np.max(np.abs(row_covariance(h, l) - r.entries)) < 0.05
 
@@ -94,7 +114,7 @@ class TestSampleChannel:
                 return out
 
         bh = conjugate_factors(*[build_exponential(3, 0.5)] * 2)
-        h = kernels.channels(draw_fading(ZeroStream(), 2, 3, n_trials=1), bh)
+        h = kernels.channels(iid_block(ZeroStream(), 2, 3, 1), bh)
         assert np.all(h == 0)
 
     def test_rejects_more_terminals_than_antennas(self):
@@ -253,7 +273,7 @@ class TestMomentIdentity:
         rs = [build_one_ring(4, 14.02, 30.0, 0.5), build_one_ring(4, 25.0, -60.0, 0.5)]
         bh = np.stack([factor(r) for r in rs])
         # 200 000 trials put rel=0.02 at about six standard errors
-        w = draw_fading(rng(11), 2, 4, n_trials=200_000)
+        w = iid_block(rng(11), 2, 4, 200_000)
         h = np.einsum("tlm,lmk->tlk", w, bh)
         gram = h @ h.conj().transpose(0, 2, 1)
         acc = np.einsum("tij,tji->t", gram, gram).real
