@@ -21,9 +21,11 @@ percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
 baseline, the reference configuration ``_REFERENCE`` under its geometry.
 """
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -72,6 +74,11 @@ _REFERENCE = {
     "model": CorrelationModelSpec(variant="exponential", xi=0.9),
     "measured_model": None,
 }
+# glibc keeps a freed heap hole resident while a live block sits above it, and a
+# granted huge page makes a fading block's unfilled rows resident: a drop trims
+# the heap (a no-op without glibc), and a pass turns numpy's huge-page advice off
+_trim_heap = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)
+_advise_huge_pages = (getattr(np, "_core", None) or np.core).multiarray._set_madvise_hugepage
 
 
 @dataclass(frozen=True)
@@ -312,6 +319,7 @@ def _draw_drops(scenarios, drop_index: int) -> list:
     share the correlation model share its kernel statistics. All of it lives
     only as long as this call.
     """
+    _trim_heap(0)
     firsts = {}
     for s in scenarios:
         firsts.setdefault(_stats_key(s), s)
@@ -322,6 +330,7 @@ def _draw_drops(scenarios, drop_index: int) -> list:
         except CorrDivError as exc:
             runs[key] = exc
 
+    _trim_heap(0)
     ranks = {}
     for key, run in runs.items():
         if not isinstance(run, CorrDivError):
@@ -466,16 +475,13 @@ def _at_attenuation(scenario: Scenario, constant: float) -> Scenario:
     return replace(scenario, geometry=replace(scenario.geometry, attenuation_constant=constant))
 
 
-def unit_baseline(scenario: Scenario) -> Scenario:
-    """``scenario``'s calibration baseline at A = 1, the run calibration solves on."""
-    return _at_attenuation(calibration_baseline(scenario), 1.0)
-
-
-def attenuation_from_samples(samples_db) -> float:
-    """A putting the 5th percentile of instantaneous ZF SNR samples drawn at A = 1
-    at 0 dB. Instantaneous SNR is exactly linear in A, so a rescale solves it."""
-    p5_db = float(np.percentile(samples_db, 5.0))
-    return 10.0 ** (-p5_db / 10.0)
+def _one_blas_thread():
+    """Pool initializer: cap numpy's bundled OpenBLAS at one thread, so pool
+    workers do not each run a full BLAS thread pool on the same cores. Does
+    nothing when numpy links another BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
 
 
 def run_scenarios(
@@ -484,23 +490,22 @@ def run_scenarios(
     """Run several scenarios of equal ``n_drops`` in one drop-major pass; one
     result per scenario.
 
-    The outer loop runs over drops, in-process or one pool task per drop.
-    Each drop draws its fading once per (seed, n_fading, L, M) and its
-    kernel statistics once per correlation model, and frees both before the
-    next drop. The attenuation constant, rho_t and sigma2 enter only when the
+    The outer loop runs over drops, in-process or one pool task per drop on
+    at most ``n_drops`` workers, each capped at one BLAS thread. Each drop
+    draws its fading once per (seed, n_fading, L, M) and its kernel
+    statistics once per correlation model, and frees both before the next
+    drop. The attenuation constant, rho_t and sigma2 enter only when the
     drops are aggregated, so every result is bit-identical to a separate
     ``run_scenario`` call, for any worker count.
 
-    With ``calibrate``, every scenario is aggregated at the constant that
-    ``calibrate_attenuation_constant`` gives for the calibration baseline of
-    the first scenario, and each result's scenario carries that constant. The
-    baseline joins the pass at A = 1 when ``workers`` is 1; with a pool it is
-    drawn serially first, because pool workers each run a full BLAS thread
-    pool on the same cores and take several times longer per drop. Either
-    way a scenario equal to the baseline up to its constant is aggregated
-    from the baseline's draws rather than drawn again.
+    With ``calibrate``, the calibration baseline of the first scenario joins
+    the pass at A = 1, and every scenario is aggregated at the A that puts
+    the baseline's 5th percentile of instantaneous ZF SNR at 0 dB; each
+    result's scenario carries that constant. Instantaneous SNR is linear in
+    A, so a rescale solves it, and a scenario equal to the baseline up to A
+    shares its kernel statistics.
     A scenario whose drops abort past 1% raises ``RunFailureError``, the
-    first such scenario in order.
+    first such scenario in order, the baseline before all.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -510,30 +515,24 @@ def run_scenarios(
         raise InvalidParameterError(
             "run_scenarios needs scenarios of equal n_drops", field="n_drops"
         )
-    entries, unit_outcomes = scenarios, None
     if calibrate:
-        unit = unit_baseline(scenarios[0])
-        reuse = [_at_attenuation(s, 1.0) == unit for s in scenarios]
-        entries = [s for s, r in zip(scenarios, reuse) if not r]
-        if workers > 1:
-            unit_outcomes = [_draw_drops([unit], d)[0] for d in range(n_drops)]
+        scenarios = [_at_attenuation(calibration_baseline(scenarios[0]), 1.0)] + scenarios
+    tasks = [scenarios] * n_drops
+    workers = min(workers, n_drops)
+    advising = _advise_huge_pages(False)  # forked pool workers inherit it
+    try:
+        if workers <= 1:
+            per_drop = map(_draw_drops, tasks, range(n_drops))
         else:
-            entries = [unit] + entries
-    tasks = [entries] * n_drops
-    if workers <= 1 or not entries:
-        per_drop = map(_draw_drops, tasks, range(n_drops))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
-    outcomes = [list(column) for column in zip(*per_drop)]
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+                per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
+        outcomes = [list(column) for column in zip(*per_drop)]
+    finally:
+        _advise_huge_pages(advising)
     if calibrate:
-        if unit_outcomes is None:
-            unit_outcomes = outcomes.pop(0)
-        drawn = iter(outcomes)
-        outcomes = [unit_outcomes if r else next(drawn) for r in reuse]
-        calibrated = _result(unit, unit_outcomes, collect_instantaneous=True)
-        constant = attenuation_from_samples(pooled_instantaneous_snr_db(calibrated))
-        scenarios = [_at_attenuation(s, constant) for s in scenarios]
+        unit = _result(scenarios.pop(0), outcomes.pop(0), collect_instantaneous=True)
+        p5_db = float(np.percentile(pooled_instantaneous_snr_db(unit), 5.0))
+        scenarios = [_at_attenuation(s, 10.0 ** (-p5_db / 10.0)) for s in scenarios]
     return [_result(s, o, collect_instantaneous) for s, o in zip(scenarios, outcomes)]
 
 
@@ -552,9 +551,9 @@ def run_scenario(
 def calibrate_attenuation_constant(baseline: Scenario) -> float:
     """Attenuation constant A putting the 5th-percentile instantaneous ZF SNR at 0 dB.
 
-    One Monte Carlo pass of the baseline at A = 1 plus a rescale; deterministic
-    given the scenario seed. ``run_scenarios(..., calibrate=True)`` gives the
-    same constant from a pass it shares with other scenarios.
+    The constant ``run_scenarios(..., calibrate=True)`` gives: one Monte Carlo
+    pass of the baseline at A = 1 plus a rescale; deterministic given the
+    scenario seed.
     """
     if calibration_baseline(baseline) != baseline:
         ref = _REFERENCE
@@ -563,8 +562,8 @@ def calibrate_attenuation_constant(baseline: Scenario) -> float:
             f"L={ref['l']}, rho_t={ref['rho_t_db']:g} dB, {ref['model'].variant} model "
             f"with xi={ref['model'].xi}"
         )
-    unit = run_scenario(unit_baseline(baseline), collect_instantaneous=True)
-    return attenuation_from_samples(pooled_instantaneous_snr_db(unit))
+    (result,) = run_scenarios([baseline], calibrate=True)
+    return result.scenario.geometry.attenuation_constant
 
 
 def pooled_instantaneous_snr_db(result: ScenarioResult) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -483,6 +484,18 @@ class TestRunScenario:
 CLERCKX = CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0.0, 38.0))
 
 
+def bundled_openblas():
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        pytest.skip("numpy does not bundle scipy-openblas64")
+    return ctypes.CDLL(str(found[0]))
+
+
+def openblas_threads():
+    return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
 def assert_same_drops(a, b):
     assert len(a.drops) == len(b.drops)
     for x, y in zip(a.drops, b.drops):
@@ -560,26 +573,76 @@ class TestRunScenarios:
         assert_same_drops(alone, shared)
 
     def test_pooled_calibration_draws_the_baseline_once(self, monkeypatch):
-        # a scenario equal to the baseline up to A takes the calibration
-        # pass's draws, so no pool starts and each drop reaches the kernel once
+        # the baseline joins its own calibration pass at A = 1; the two share
+        # each drop's kernel statistics, in a pool as in-process
         baseline = calibration_baseline(self.reference_shape(n_drops=3))
-        (serial,) = run_scenarios([baseline], collect_instantaneous=True, calibrate=True)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the baseline was drawn again in a pool")
-
+        baseline = replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=7.0))
+        unit = replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
         kernel = KernelSpy({})
-        monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-        (pooled,) = run_scenarios(
-            [baseline], workers=2, collect_instantaneous=True, calibrate=True
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "gram_eta_stats", kernel)
+            for d in range(3):
+                montecarlo._draw_drops([unit, baseline], d)
         assert len(kernel.batches) == 3
+
+        serial, pooled = (
+            run_scenarios([baseline], workers=w, collect_instantaneous=True, calibrate=True)[0]
+            for w in (1, 2)
+        )
         assert pooled.scenario == serial.scenario
         assert pooled.summary == serial.summary
         assert_same_drops(pooled, serial)
 
-    # serially the baseline joins the pass; with a pool it is calibrated first
+    def test_pool_is_capped_at_the_drop_count(self, monkeypatch):
+        # a fork pool starts all its workers at the first task
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer):
+                pools.append((max_workers, initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        (pooled,) = run_scenarios([exp_scenario(n_drops=4)], workers=5000)
+        assert pools == [(4, montecarlo._one_blas_thread)]
+        assert pooled.summary == run_scenario(exp_scenario(n_drops=4)).summary
+        run_scenarios([exp_scenario(n_drops=1)], workers=5000)
+        assert len(pools) == 1
+
+    def test_pool_workers_run_one_blas_thread(self):
+        blas = bundled_openblas()
+        before = blas.scipy_openblas_get_num_threads64_()
+        with ProcessPoolExecutor(max_workers=1, initializer=montecarlo._one_blas_thread) as pool:
+            assert pool.submit(openblas_threads).result() == 1
+        run_scenarios([exp_scenario(n_drops=2)], workers=2)
+        assert blas.scipy_openblas_get_num_threads64_() == before
+
+    def test_drops_trim_the_heap_without_huge_page_advice(self, monkeypatch):
+        # each trim records whether numpy advises huge pages at that moment
+        def advice():
+            advising = montecarlo._advise_huge_pages(False)
+            montecarlo._advise_huge_pages(advising)
+            return advising
+
+        trims = []
+        monkeypatch.setattr(montecarlo, "_trim_heap", lambda pad: trims.append((pad, advice())))
+        before = advice()
+        (trimmed,) = run_scenarios([exp_scenario(n_drops=3)])
+        # before each drop's profiles and again before its fading
+        assert trims == [(0, False)] * 6
+        assert advice() == before
+        monkeypatch.undo()
+        assert trimmed.summary == run_scenario(exp_scenario(n_drops=3)).summary
+
+    # the baseline joins the pass at every worker count
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "model",
