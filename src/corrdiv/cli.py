@@ -32,40 +32,58 @@ from .propagation import GeometryConfig, MeasuredAngularModel
 # bench/trace_cli.py wraps them here
 from .montecarlo import calibrate_attenuation_constant, run_scenario  # noqa: F401, E402
 
-# YAML key -> dataclass field it sets, for the sections made of plain numbers
-_MEASURED_FIELDS = {key: key for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")}
-_GEOMETRY_FIELDS = {
-    "cell_radius_m": "cell_radius_m",
-    "reference_distance_m": "reference_distance_m",
-    "alpha": "attenuation_exponent",
-    "sigma_sh_db": "shadowing_std_db",
-    "attenuation_constant": "attenuation_constant",
+# kinds of value a key takes: a string other than these is a tag the key may
+# take in place of a number, and a key of kind None is read by the parser itself
+_INTEGER, _NUMBER, _PAIR, _SECTION = "integer", "number", "pair", "section"
+# the file schema: each section's keys in manifest order, each with the
+# dataclass field it sets (a section of field None sets its parent's) and kind
+_SCHEMA = {
+    (): {
+        "rng_contract": (None, None),
+        "m": ("m", _INTEGER),
+        "l": ("l", _INTEGER),
+        "rho_t_db": ("rho_t_db", _NUMBER),
+        "sigma2": ("sigma2", _NUMBER),
+        "model": ("model", _SECTION),
+        "geometry": ("geometry", _SECTION),
+        "run": (None, _SECTION),
+    },
+    ("model",): {
+        "type": ("variant", None),
+        "xi": ("xi", _NUMBER),
+        "phase_range_deg": ("phase_range_deg", _PAIR),
+        "angular_spread_deg": ("angular_spread_deg", "measured"),
+        "mean_doa": ("mean_doa_deg", "uniform"),
+        "spacing_wavelengths": ("spacing_wavelengths", _NUMBER),
+        "measured": ("measured", _SECTION),
+    },
+    ("model", "measured"): {
+        key: (key, _NUMBER) for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")
+    },
+    ("geometry",): {
+        "cell_radius_m": ("cell_radius_m", _NUMBER),
+        "reference_distance_m": ("reference_distance_m", _NUMBER),
+        "alpha": ("attenuation_exponent", _NUMBER),
+        "sigma_sh_db": ("shadowing_std_db", _NUMBER),
+        "attenuation_constant": ("attenuation_constant", _NUMBER),
+        "calibrate": (None, None),
+    },
+    ("run",): {key: (key, _INTEGER) for key in ("n_drops", "n_fading", "seed")},
 }
-_TOP_KEYS = {"rng_contract", "m", "l", "rho_t_db", "sigma2", "model", "geometry", "run"}
 _MODEL_KEYS = {
     "exponential": {"type", "xi"},
     "clerckx": {"type", "xi", "phase_range_deg"},
     "one_ring": {"type", "angular_spread_deg", "mean_doa", "spacing_wavelengths", "measured"},
 }
-_RUN_KEYS = {"n_drops", "n_fading", "seed"}
-# the key path of each Scenario and CorrelationModelSpec field a file sets
-_SCENARIO_KEYS = {
-    "m": ("m",),
-    "l": ("l",),
-    "rho_t_db": ("rho_t_db",),
-    "sigma2": ("sigma2",),
-    **{field: ("run", field) for field in _RUN_KEYS},
+# the key path that sets each dataclass field, and those of the phase bounds
+_FIELD_KEYS = {
+    field: keys + (key,)
+    for keys, section in _SCHEMA.items()
+    for key, (field, _) in section.items()
+    if field is not None
 }
-_SPEC_KEYS = {
-    "variant": ("model", "type"),
-    "xi": ("model", "xi"),
-    "phase_range_deg": ("model", "phase_range_deg"),
-    "phase_range_low_deg": ("model", "phase_range_deg", 0),
-    "phase_range_high_deg": ("model", "phase_range_deg", 1),
-    "angular_spread_deg": ("model", "angular_spread_deg"),
-    "mean_doa_deg": ("model", "mean_doa"),
-    "spacing_wavelengths": ("model", "spacing_wavelengths"),
-}
+_FIELD_KEYS["phase_range_low_deg"] = ("model", "phase_range_deg", 0)
+_FIELD_KEYS["phase_range_high_deg"] = ("model", "phase_range_deg", 1)
 
 
 def _collect_marks(node, path, marks):
@@ -78,129 +96,101 @@ def _collect_marks(node, path, marks):
             _collect_marks(item, path + (i,), marks)
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 class _Parser:
     """Schema walker that turns violations into located ScenarioErrors.
 
-    It checks the file's shape and types only; value ranges are the
+    It checks the file's shape and kinds only; value ranges are the
     dataclasses' to check, and ``build`` locates their errors.
     """
 
-    def __init__(self, path, data, marks):
+    def __init__(self, path, marks):
         self.path = str(path)
-        self.data = data
         self.marks = marks
 
     def fail(self, keys, message):
         label = ".".join(str(k) for k in keys) if keys else "document"
         raise ScenarioError(f"{label}: {message}", path=self.path, line=self.marks.get(keys))
 
-    def mapping(self, value, keys, allowed, required):
+    def mapping(self, value, keys, required=()):
+        """``value``, checked to be a mapping of section ``keys``'s keys that
+        holds every key of ``required``."""
         if not isinstance(value, dict):
             self.fail(keys, "expected a mapping")
         for key in value:
-            if key not in allowed:
+            if key not in _SCHEMA[keys]:
                 self.fail(keys + (key,), f"unknown key {key!r}")
         for key in required:
             if key not in value:
                 self.fail(keys, f"missing required key {key!r}")
         return value
 
-    def number(self, mapping, keys, key):
-        if key not in mapping:
-            self.fail(keys, f"missing required key {key!r}")
-        value = mapping[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(keys + (key,), f"expected a number, got {value!r}")
-        return float(value)
+    def values(self, raw, keys) -> dict:
+        """The fields the keys in ``raw`` set, each value checked against its
+        key's kind in schema order. Sub-sections and keys of kind None are
+        the caller's to read."""
+        fields = {}
+        for key, (field, kind) in _SCHEMA[keys].items():
+            if key not in raw or kind in (None, _SECTION):
+                continue
+            value = raw[key]
+            if kind == _INTEGER:
+                if isinstance(value, bool) or not isinstance(value, int):
+                    self.fail(keys + (key,), f"expected an integer, got {value!r}")
+            elif kind == _PAIR:
+                if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+                    self.fail(keys + (key,), "expected a [low, high] pair of numbers")
+                value = (float(value[0]), float(value[1]))
+            elif _is_number(value):
+                value = float(value)
+            elif kind == _NUMBER or not isinstance(value, str):
+                expected = "a number" if kind == _NUMBER else f"a number or {kind!r}"
+                self.fail(keys + (key,), f"expected {expected}, got {value!r}")
+            fields[field] = value
+        return fields
 
-    def numbers(self, mapping, keys, fields):
-        """The numbers present in ``mapping``, keyed by the field each key sets."""
-        return {
-            field: self.number(mapping, keys, key) for key, field in fields.items() if key in mapping
-        }
-
-    def integer(self, mapping, keys, key):
-        if key not in mapping:
-            self.fail(keys, f"missing required key {key!r}")
-        value = mapping[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(keys + (key,), f"expected an integer, got {value!r}")
-        return value
-
-    def build(self, cls, keys, field_keys, **kwargs):
+    def build(self, cls, keys, **kwargs):
         """``cls(**kwargs)``, with a rejected value reported at the key that set
-        its field (``field_keys`` maps field to key path), or at ``keys``.
-        Of several blamed fields, the first one the file sets is reported."""
+        its field, or at ``keys``. Of several blamed fields, the first one the
+        file sets is reported."""
         try:
             return cls(**kwargs)
         except InvalidParameterError as exc:
             fields = exc.field if isinstance(exc.field, tuple) else (exc.field,)
-            paths = [field_keys.get(f, keys) for f in fields]
+            paths = [_FIELD_KEYS.get(f, keys) for f in fields]
             at = next((path for path in paths if path in self.marks), paths[0])
             while at not in self.marks:
                 at = at[:-1]
             self.fail(at, str(exc))
 
-    def section(self, cls, mapping, keys, fields):
-        """``cls`` built from the numbers of one section, one per field."""
-        field_keys = {field: keys + (key,) for key, field in fields.items()}
-        return self.build(cls, keys, field_keys, **self.numbers(mapping, keys, fields))
-
-
-def _tagged(p: _Parser, raw, keys, key, tag):
-    """A number, or a string tag that the model spec checks."""
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        p.fail(keys + (key,), f"expected a number or {tag!r}, got {value!r}")
-    return value if isinstance(value, str) else float(value)
-
 
 def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
     keys = ("model",)
-    raw = p.mapping(raw, keys, set().union(*_MODEL_KEYS.values()), {"type"})
+    raw = p.mapping(raw, keys, required=("type",))
     variant = raw["type"]
     if not isinstance(variant, str) or variant not in _MODEL_KEYS:
         p.fail(keys + ("type",), f"unknown model type {variant!r}")
     for key in raw:
         if key not in _MODEL_KEYS[variant]:
             p.fail(keys + (key,), f"key {key!r} does not apply to model type {variant!r}")
-
-    kwargs = {"variant": variant}
-    if variant in ("exponential", "clerckx"):
-        kwargs["xi"] = p.number(raw, keys, "xi")
+    for key in ("xi", "angular_spread_deg"):
+        if key in _MODEL_KEYS[variant] and key not in raw:
+            p.fail(keys, f"missing required key {key!r}")
+    # a Clerckx phase range has no default: a missing one is a malformed pair
     if variant == "clerckx":
-        rng = raw.get("phase_range_deg")
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in rng)
-        ):
-            p.fail(keys + ("phase_range_deg",), "expected a [low, high] pair of numbers")
-        kwargs["phase_range_deg"] = (float(rng[0]), float(rng[1]))
-    if variant == "one_ring":
-        if "angular_spread_deg" not in raw:
-            p.fail(keys, "missing required key 'angular_spread_deg'")
-        kwargs["angular_spread_deg"] = _tagged(p, raw, keys, "angular_spread_deg", "measured")
-        if "mean_doa" in raw:
-            kwargs["mean_doa_deg"] = _tagged(p, raw, keys, "mean_doa", "uniform")
-        kwargs.update(p.numbers(raw, keys, {"spacing_wavelengths": "spacing_wavelengths"}))
-        if "measured" in raw and raw["angular_spread_deg"] != "measured":
-            p.fail(keys + ("measured",), "measured block requires angular_spread_deg: measured")
-    return p.build(CorrelationModelSpec, keys, _SPEC_KEYS, **kwargs)
+        raw = {"phase_range_deg": None, **raw}
 
-
-def _parse_geometry(p: _Parser, raw):
-    keys = ("geometry",)
-    raw = p.mapping(raw, keys, set(_GEOMETRY_FIELDS) | {"calibrate"}, set())
-    calibrate = raw.get("calibrate", False)
-    if not isinstance(calibrate, bool):
-        p.fail(keys + ("calibrate",), f"expected true or false, got {calibrate!r}")
-    if calibrate and "attenuation_constant" in raw:
-        p.fail(keys, "give either attenuation_constant or calibrate: true, not both")
-    if not calibrate and "attenuation_constant" not in raw:
-        p.fail(keys, "geometry needs attenuation_constant or calibrate: true")
-    # with calibrate: true the constant keeps GeometryConfig's placeholder
-    return p.section(GeometryConfig, raw, keys, _GEOMETRY_FIELDS), calibrate
+    fields = p.values(raw, keys)
+    if "measured" in raw:
+        block_keys = keys + ("measured",)
+        block = p.mapping(raw["measured"], block_keys)
+        fields["measured"] = p.build(
+            MeasuredAngularModel, block_keys, **p.values(block, block_keys)
+        )
+    return p.build(CorrelationModelSpec, keys, variant=variant, **fields)
 
 
 def load_scenario_file(path):
@@ -231,9 +221,9 @@ def load_scenario_file(path):
     marks = {}
     if node is not None:
         _collect_marks(node, (), marks)
-    p = _Parser(path, data, marks)
+    p = _Parser(path, marks)
 
-    data = p.mapping(data, (), _TOP_KEYS, {"m", "l", "model", "geometry", "run"})
+    data = p.mapping(data, (), required=("m", "l", "model", "geometry", "run"))
     contract = data.get("rng_contract", RNG_CONTRACT)
     if isinstance(contract, bool) or contract != RNG_CONTRACT:
         p.fail(
@@ -241,67 +231,47 @@ def load_scenario_file(path):
             f"written under RNG contract {contract!r}; this version reproduces "
             f"only contract {RNG_CONTRACT}",
         )
-    m = p.integer(data, (), "m")
-    l = p.integer(data, (), "l")
-    noise = p.numbers(data, (), {"rho_t_db": "rho_t_db", "sigma2": "sigma2"})
-
+    fields = p.values(data, ())
     model = _parse_model(p, data["model"])
-    measured = None
-    if isinstance(data["model"], dict) and "measured" in data["model"]:
-        keys = ("model", "measured")
-        raw = p.mapping(data["model"]["measured"], keys, set(_MEASURED_FIELDS), set())
-        measured = p.section(MeasuredAngularModel, raw, keys, _MEASURED_FIELDS)
-    geometry, wants_calibration = _parse_geometry(p, data["geometry"])
 
-    run_keys = ("run",)
-    run_raw = p.mapping(data["run"], run_keys, _RUN_KEYS, _RUN_KEYS)
-    sizes = {key: p.integer(run_raw, run_keys, key) for key in ("n_drops", "n_fading", "seed")}
+    keys = ("geometry",)
+    raw = p.mapping(data["geometry"], keys)
+    wants_calibration = raw.get("calibrate", False)
+    if not isinstance(wants_calibration, bool):
+        p.fail(keys + ("calibrate",), f"expected true or false, got {wants_calibration!r}")
+    if wants_calibration and "attenuation_constant" in raw:
+        p.fail(keys, "give either attenuation_constant or calibrate: true, not both")
+    if not wants_calibration and "attenuation_constant" not in raw:
+        p.fail(keys, "geometry needs attenuation_constant or calibrate: true")
+    # with calibrate: true the constant keeps GeometryConfig's placeholder
+    geometry = p.build(GeometryConfig, keys, **p.values(raw, keys))
 
-    scenario = p.build(
-        Scenario,
-        (),
-        _SCENARIO_KEYS,
-        m=m,
-        l=l,
-        model=model,
-        geometry=geometry,
-        measured_model=measured,
-        **noise,
-        **sizes,
-    )
+    keys = ("run",)
+    fields.update(p.values(p.mapping(data["run"], keys, required=_SCHEMA[keys]), keys))
+    scenario = p.build(Scenario, (), model=model, geometry=geometry, **fields)
     return scenario, wants_calibration
+
+
+def _section_to_dict(obj, keys) -> dict:
+    """Section ``keys`` of the file schema, filled from the dataclass ``obj``."""
+    doc = {}
+    for key, (field, kind) in _SCHEMA[keys].items():
+        if keys == ("model",) and key not in _MODEL_KEYS[obj.variant]:
+            continue
+        if kind == _SECTION:
+            section = obj if field is None else getattr(obj, field)
+            if section is not None:
+                doc[key] = _section_to_dict(section, keys + (key,))
+        elif field is not None:
+            value = getattr(obj, field)
+            doc[key] = list(value) if kind == _PAIR else value
+    return doc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serializable scenario in the file schema (attenuation resolved), stamped
     with the RNG contract its outputs were drawn under."""
-    model = scenario.model
-    model_doc = {"type": model.variant}
-    if model.variant in ("exponential", "clerckx"):
-        model_doc["xi"] = model.xi
-    if model.variant == "clerckx":
-        model_doc["phase_range_deg"] = list(model.phase_range_deg)
-    if model.variant == "one_ring":
-        model_doc["angular_spread_deg"] = model.angular_spread_deg
-        model_doc["mean_doa"] = model.mean_doa_deg
-        model_doc["spacing_wavelengths"] = model.spacing_wavelengths
-        if model.angular_spread_deg == "measured":
-            mm = scenario.measured_model
-            model_doc["measured"] = {key: getattr(mm, f) for key, f in _MEASURED_FIELDS.items()}
-    return {
-        "rng_contract": RNG_CONTRACT,
-        "m": scenario.m,
-        "l": scenario.l,
-        "rho_t_db": scenario.rho_t_db,
-        "sigma2": scenario.sigma2,
-        "model": model_doc,
-        "geometry": {key: getattr(scenario.geometry, f) for key, f in _GEOMETRY_FIELDS.items()},
-        "run": {
-            "n_drops": scenario.n_drops,
-            "n_fading": scenario.n_fading,
-            "seed": scenario.seed,
-        },
-    }
+    return {"rng_contract": RNG_CONTRACT, **_section_to_dict(scenario, ())}
 
 
 def _fmt(value) -> str:
@@ -461,7 +431,6 @@ def cmd_calibrate(args) -> int:
     (result,) = run_scenarios(
         [calibration_baseline(scenario)],
         workers=args.workers,
-        collect_instantaneous=True,
         calibrate=True,
     )
     constant = result.scenario.geometry.attenuation_constant

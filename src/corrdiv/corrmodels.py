@@ -19,6 +19,7 @@ from .errors import (
     QuadratureNonconvergenceError,
     require_finite,
 )
+from .propagation import MeasuredAngularModel
 
 # eigenvalues in [PSD_FLOOR, 0) are rounding noise; anything below is
 # treated as a construction bug
@@ -61,7 +62,8 @@ class CorrelationModelSpec:
 
     ``angular_spread_deg`` may be the string tag ``"measured"`` (draw per
     terminal from the measured distribution) and ``mean_doa_deg`` the tag
-    ``"uniform"`` (draw per terminal from U[-180, 180]).
+    ``"uniform"`` (draw per terminal from U[-180, 180]). ``measured`` is the
+    fit a ``"measured"`` spread draws from, the default fit when not given.
     """
 
     variant: str
@@ -70,8 +72,16 @@ class CorrelationModelSpec:
     angular_spread_deg: float | str = 14.02
     mean_doa_deg: float | str = "uniform"
     spacing_wavelengths: float = 0.5
+    measured: MeasuredAngularModel | None = None
 
     def __post_init__(self):
+        if self.angular_spread_deg != "measured":
+            if self.measured is not None:
+                raise InvalidParameterError(
+                    "measured block requires angular_spread_deg: measured", field="measured"
+                )
+        elif self.measured is None:
+            object.__setattr__(self, "measured", MeasuredAngularModel())
         if self.variant not in ("exponential", "clerckx", "one_ring"):
             raise InvalidParameterError(
                 f"unknown correlation model variant {self.variant!r}", field="variant"

@@ -43,7 +43,6 @@ from .errors import CorrDivError, InvalidParameterError, RunFailureError, requir
 from .kernels import COND_MAX
 from .propagation import (
     GeometryConfig,
-    MeasuredAngularModel,
     draw_truncated_spread,
     link_gain,
     sample_link_gain,
@@ -72,7 +71,6 @@ _REFERENCE = {
     "l": 6,
     "rho_t_db": 0.0,
     "model": CorrelationModelSpec(variant="exponential", xi=0.9),
-    "measured_model": None,
 }
 # glibc keeps a freed heap hole resident while a live block sits above it, and a
 # granted huge page makes a fading block's unfilled rows resident: a drop trims
@@ -92,7 +90,6 @@ class Scenario:
     rho_t_db: float = 0.0
     sigma2: float = 1.0
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    measured_model: Optional[MeasuredAngularModel] = None
     radial_law: str = "area"
 
     def __post_init__(self):
@@ -117,8 +114,6 @@ class Scenario:
             raise InvalidParameterError(
                 f"unknown radial law {self.radial_law!r}", field="radial_law"
             )
-        if self.model.angular_spread_deg == "measured" and self.measured_model is None:
-            object.__setattr__(self, "measured_model", MeasuredAngularModel())
         rank = _shared_rank(self.model, self.m)
         if rank is not None and rank < self.l:
             raise InvalidParameterError(
@@ -144,7 +139,9 @@ class DropResult:
     trace_sq: float
     rejected_trials: int
     eta_cv: float
-    inst_snr_db: Optional[np.ndarray] = None
+    # each trial's L / Tr[G^-1]; a terminal's instantaneous SNR is
+    # rho_t beta / sigma2 times it
+    inv_eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,7 @@ def _terminal_profiles(scenario: Scenario, rng):
     else:
         doas = [float(model.mean_doa_deg)] * n
     if model.angular_spread_deg == "measured":
-        spreads = [draw_truncated_spread(scenario.measured_model, rng) for _ in range(n)]
+        spreads = [draw_truncated_spread(model.measured, rng) for _ in range(n)]
     else:
         spreads = [float(model.angular_spread_deg)] * n
     rs = [build_one_ring(m, s, d, model.spacing_wavelengths) for s, d in zip(spreads, doas)]
@@ -306,7 +303,7 @@ def _fading_key(s: Scenario) -> tuple:
 
 def _stats_key(s: Scenario) -> tuple:
     """What a drop's kernel statistics depend on."""
-    return (s.model, s.measured_model) + _fading_key(s)
+    return (s.model,) + _fading_key(s)
 
 
 def _draw_drops(scenarios, drop_index: int) -> list:
@@ -365,9 +362,7 @@ def _draw_drops(scenarios, drop_index: int) -> list:
     return outcomes
 
 
-def _aggregate_drop(
-    scenario: Scenario, draws: _DropDraws, collect_instantaneous: bool = False
-) -> DropResult:
+def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
     """Link gains, fading-averaged and closed-form SNRs and sum SE of one drop."""
     n_term, n_ant = scenario.l, scenario.m
     trace_sq = draws.trace_sq
@@ -406,11 +401,11 @@ def _aggregate_drop(
         trace_sq=trace_sq,
         rejected_trials=draws.rejected_trials,
         eta_cv=eta_cv,
-        inst_snr_db=10.0 * np.log10(inst_snr).ravel() if collect_instantaneous else None,
+        inv_eta=inv_eta,
     )
 
 
-def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = False) -> DropResult:
+def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
     """One drop: sample large-scale state, average over fading, compare closed form.
 
     Deterministic function of (scenario.seed, drop_index); raises the
@@ -419,7 +414,7 @@ def run_drop(scenario: Scenario, drop_index: int, collect_instantaneous: bool = 
     (draws,) = _draw_drops([scenario], drop_index)
     if isinstance(draws, CorrDivError):
         raise draws
-    return _aggregate_drop(scenario, draws, collect_instantaneous)
+    return _aggregate_drop(scenario, draws)
 
 
 def _summarize(drops, n_failed: int) -> dict:
@@ -445,7 +440,7 @@ def _summarize(drops, n_failed: int) -> dict:
     }
 
 
-def _result(scenario: Scenario, outcomes, collect_instantaneous: bool) -> ScenarioResult:
+def _result(scenario: Scenario, outcomes) -> ScenarioResult:
     """Aggregate a scenario's drawn drops. The run fails outright if more than
     1% of its drops abort."""
     drops, failures = [], []
@@ -453,7 +448,7 @@ def _result(scenario: Scenario, outcomes, collect_instantaneous: bool) -> Scenar
         try:
             if isinstance(outcome, CorrDivError):
                 raise outcome
-            drops.append(_aggregate_drop(scenario, outcome, collect_instantaneous))
+            drops.append(_aggregate_drop(scenario, outcome))
         except CorrDivError as exc:
             failures.append((d, str(exc)))
     if len(failures) > 0.01 * scenario.n_drops:
@@ -484,9 +479,7 @@ def _one_blas_thread():
         ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
 
 
-def run_scenarios(
-    scenarios, workers: int = 1, collect_instantaneous: bool = False, calibrate: bool = False
-) -> list:
+def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
     """Run several scenarios of equal ``n_drops`` in one drop-major pass; one
     result per scenario.
 
@@ -530,21 +523,19 @@ def run_scenarios(
     finally:
         _advise_huge_pages(advising)
     if calibrate:
-        unit = _result(scenarios.pop(0), outcomes.pop(0), collect_instantaneous=True)
+        unit = _result(scenarios.pop(0), outcomes.pop(0))
         p5_db = float(np.percentile(pooled_instantaneous_snr_db(unit), 5.0))
         scenarios = [_at_attenuation(s, 10.0 ** (-p5_db / 10.0)) for s in scenarios]
-    return [_result(s, o, collect_instantaneous) for s, o in zip(scenarios, outcomes)]
+    return [_result(s, o) for s, o in zip(scenarios, outcomes)]
 
 
-def run_scenario(
-    scenario: Scenario, workers: int = 1, collect_instantaneous: bool = False
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     """Execute all drops of one scenario, in-process or across a process pool.
 
     Drop failures are collected; the run fails outright if more than 1% of
     drops abort. Summaries are bit-identical for any worker count.
     """
-    (result,) = run_scenarios([scenario], workers, collect_instantaneous)
+    (result,) = run_scenarios([scenario], workers)
     return result
 
 
@@ -567,9 +558,14 @@ def calibrate_attenuation_constant(baseline: Scenario) -> float:
 
 
 def pooled_instantaneous_snr_db(result: ScenarioResult) -> np.ndarray:
-    """Instantaneous SNRs in (drop, trial, terminal) order, from a run made
-    with ``collect_instantaneous``."""
-    return np.concatenate([d.inst_snr_db for d in result.drops])
+    """Instantaneous SNRs in (drop, trial, terminal) order."""
+    s = result.scenario
+    return np.concatenate(
+        [
+            10.0 * np.log10(np.outer(d.inv_eta, s.rho_t_linear * d.link_gains / s.sigma2)).ravel()
+            for d in result.drops
+        ]
+    )
 
 
 def pooled_expected_snr_db(result: ScenarioResult) -> np.ndarray:

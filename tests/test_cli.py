@@ -14,6 +14,8 @@ import corrdiv
 from corrdiv.cli import load_scenario_file, main, scenario_to_dict
 from corrdiv.montecarlo import RNG_CONTRACT
 
+SAMPLES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+
 MINIMAL = """\
 m: 8
 l: 2
@@ -125,6 +127,17 @@ class TestRunCommand:
         assert not wants_calibration
         assert reloaded == original
         assert scenario_to_dict(reloaded) == scenario_to_dict(original)
+
+    @pytest.mark.parametrize("sample", SAMPLES, ids=lambda path: path.stem)
+    def test_sample_manifest_round_trips_to_identical_scenario(self, tmp_path, sample):
+        original, _ = load_scenario_file(sample)
+        doc = scenario_to_dict(original)
+        assert ("measured" in doc["model"]) == (original.model.angular_spread_deg == "measured")
+        manifest = write_scenario(tmp_path, yaml.safe_dump(doc, sort_keys=False))
+        reloaded, wants_calibration = load_scenario_file(manifest)
+        assert not wants_calibration
+        assert reloaded == original
+        assert scenario_to_dict(reloaded) == doc
 
     def test_manifest_records_rng_contract(self, tmp_path):
         scenario_path = write_scenario(tmp_path, MINIMAL)

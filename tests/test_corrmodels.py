@@ -370,3 +370,23 @@ def test_model_spec_keeps_phase_range_as_a_pair():
     assert hash(spec) == hash(replace(spec, phase_range_deg=(0.0, 38.0)))
     with pytest.raises(InvalidParameterError, match="pair"):
         CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=[0.0, 1.0, 2.0])
+
+
+def test_model_spec_owns_the_measured_fit():
+    fit = MeasuredAngularModel(spread_mean_deg=20.0)
+    # checked before any other field, as the scenario file nests the fit
+    for spread in (14.02, float("nan")):
+        with pytest.raises(InvalidParameterError, match="requires angular_spread_deg") as exc:
+            CorrelationModelSpec(variant="one_ring", angular_spread_deg=spread, measured=fit)
+        assert exc.value.field == "measured"
+    with pytest.raises(InvalidParameterError) as exc:
+        CorrelationModelSpec(variant="exponential", xi=float("nan"), measured=fit)
+    assert exc.value.field == "measured"
+
+    default = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
+    assert default.measured == MeasuredAngularModel()
+    assert CorrelationModelSpec(variant="one_ring").measured is None
+    fitted = replace(default, measured=fit)
+    assert fitted.measured is fit
+    assert fitted != default
+    assert hash(fitted) != hash(default)

@@ -20,6 +20,7 @@ from corrdiv.montecarlo import (
     empirical_cdf,
     percentile,
     pooled_expected_snr_db,
+    pooled_instantaneous_snr_db,
     run_drop,
     run_scenario,
     run_scenarios,
@@ -84,8 +85,8 @@ class TestScenarioValidation:
     def test_measured_spread_autofills_angular_model(self):
         spec = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
         scenario = exp_scenario(model=spec)
-        assert scenario.measured_model is not None
-        assert scenario.measured_model.spread_mean_deg == 14.02
+        assert scenario.model.measured is not None
+        assert scenario.model.measured.spread_mean_deg == 14.02
 
     @pytest.mark.parametrize(
         "overrides",
@@ -175,11 +176,11 @@ class TestRunDrop:
         gaps = np.abs(drop.per_terminal_expected_snr_db - predicted_db)
         assert gaps.max() < 0.2
 
-    def test_instantaneous_samples_optional(self):
+    def test_instantaneous_samples_are_kept(self):
         scenario = exp_scenario(n_fading=5)
-        assert run_drop(scenario, 0).inst_snr_db is None
-        collected = run_drop(scenario, 0, collect_instantaneous=True)
-        assert collected.inst_snr_db.shape == (5 * scenario.l,)
+        assert run_drop(scenario, 0).inv_eta.shape == (5,)
+        pooled = pooled_instantaneous_snr_db(run_scenario(scenario))
+        assert pooled.shape == (scenario.n_drops * 5 * scenario.l,)
 
     def test_phase_diversity_shrinks_average_correlation_energy(self):
         exp = run_drop(exp_scenario(), 0)
@@ -277,7 +278,7 @@ class TestFadingStreams:
         scenario = exp_scenario(n_fading=100, seed=21)
         # trials 5 and 2 fail the screen; trial 2's first redraw fails too
         kernel, draws, keys = self.spy(monkeypatch, {0: (2, 5), 1: (0,)})
-        drop = run_drop(scenario, 0, collect_instantaneous=True)
+        drop = run_drop(scenario, 0)
 
         assert drop.rejected_trials == 3
         assert sorted(k[1] for k in keys) == [0, 1, 2, 2, 3]
@@ -296,9 +297,7 @@ class TestFadingStreams:
         block[2], block[5] = expected[1][0], expected[2][0]
         bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
         inv_eta = 2 / kernels.gram_stats(kernels.channels(block, bh))[:, 0]
-        betas = drop.link_gains
-        want_db = 10.0 * np.log10(np.outer(inv_eta, betas)).ravel()
-        np.testing.assert_allclose(drop.inst_snr_db, want_db, rtol=1e-12)
+        np.testing.assert_allclose(drop.inv_eta, inv_eta, rtol=1e-12)
 
     def test_redraw_cap_raises(self, monkeypatch):
         cap = montecarlo._MAX_REDRAWS
@@ -392,7 +391,7 @@ class TestRunScenario:
         ranks = [len(b) for b in bh]
         assert len(set(ranks)) > 1 and max(ranks) < 128
         serial, pooled = (
-            run_scenarios([scenario], workers=w, collect_instantaneous=True)[0] for w in (1, 2)
+            run_scenarios([scenario], workers=w)[0] for w in (1, 2)
         )
         assert serial.summary == pooled.summary
         assert_same_drops(serial, pooled)
@@ -418,7 +417,7 @@ class TestRunScenario:
         try:
             for threads in (1, default):
                 blas.scipy_openblas_set_num_threads64_(threads)
-                runs.append([run_scenario(s, collect_instantaneous=True) for s in (one_ring, clerckx)])
+                runs.append([run_scenario(s) for s in (one_ring, clerckx)])
         finally:
             blas.scipy_openblas_set_num_threads64_(default)
         for single, pooled in zip(*runs):
@@ -533,9 +532,9 @@ class TestRunScenarios:
         scenarios.append(replace(scenarios[2], rho_t_db=0.0))
         scenarios.append(replace(scenarios[1], radial_law="radius"))
 
-        merged = run_scenarios(scenarios, workers=workers, collect_instantaneous=True)
+        merged = run_scenarios(scenarios, workers=workers)
         for result, scenario in zip(merged, scenarios):
-            alone = run_scenario(scenario, collect_instantaneous=True)
+            alone = run_scenario(scenario)
             assert result.scenario == scenario
             assert result.summary == alone.summary
             assert_same_drops(result, alone)
@@ -567,8 +566,8 @@ class TestRunScenarios:
         exponential = replace(one_ring, model=CorrelationModelSpec(variant="exponential", xi=0.5))
         _, bh = montecarlo._terminal_profiles(one_ring, montecarlo._stream(21, 0, 1))
         assert max(len(b) for b in bh) < 128
-        (alone,) = run_scenarios([one_ring], collect_instantaneous=True)
-        shared = run_scenarios([exponential, one_ring], collect_instantaneous=True)[1]
+        (alone,) = run_scenarios([one_ring])
+        shared = run_scenarios([exponential, one_ring])[1]
         assert alone.summary == shared.summary
         assert_same_drops(alone, shared)
 
@@ -586,7 +585,7 @@ class TestRunScenarios:
         assert len(kernel.batches) == 3
 
         serial, pooled = (
-            run_scenarios([baseline], workers=w, collect_instantaneous=True, calibrate=True)[0]
+            run_scenarios([baseline], workers=w, calibrate=True)[0]
             for w in (1, 2)
         )
         assert pooled.scenario == serial.scenario

@@ -227,7 +227,7 @@ class TestAngularParams:
 
 def instantaneous_snr_db(scenario):
     """Pooled per-(drop, trial, terminal) instantaneous ZF SNR samples in dB."""
-    return pooled_instantaneous_snr_db(run_scenario(scenario, collect_instantaneous=True))
+    return pooled_instantaneous_snr_db(run_scenario(scenario))
 
 
 def bisect_attenuation(baseline):
