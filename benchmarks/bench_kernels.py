@@ -4,7 +4,7 @@ Usage:
     python benchmarks/bench_kernels.py [--m 64] [--l 6] [--trials 500] [--reps 5]
 
 A warmup call is excluded from the timing loop; the fastest repetition is
-reported.
+reported, after the number and size of the kernel chunks it runs.
 """
 
 import argparse
@@ -44,7 +44,9 @@ def main():
     args = parser.parse_args()
 
     w, bh = make_batch(args.m, args.l, args.trials)
+    step = kernels.chunk_step(args.l, args.m)
     print(f"batch: {args.trials} trials, L={args.l} terminals, M={args.m} antennas")
+    print(f"chunks: {-(-args.trials // step)} of up to {step} trials")
     best = time_kernel(w, bh, args.reps)
     per_trial_us = 1e6 * best / args.trials
     print(f"{best * 1e3:8.2f} ms per batch  ({per_trial_us:7.2f} us per trial)")

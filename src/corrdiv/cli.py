@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .corrmodels import CorrelationModelSpec
+from .corrmodels import VARIANT_FIELDS, CorrelationModelSpec
 from .errors import CorrDivError, InvalidParameterError, ScenarioError
 from .montecarlo import (
     RNG_CONTRACT,
@@ -70,10 +70,10 @@ _SCHEMA = {
     },
     ("run",): {key: (key, _INTEGER) for key in ("n_drops", "n_fading", "seed")},
 }
+# the model keys each type takes: those of the spec fields its variant reads
 _MODEL_KEYS = {
-    "exponential": {"type", "xi"},
-    "clerckx": {"type", "xi", "phase_range_deg"},
-    "one_ring": {"type", "angular_spread_deg", "mean_doa", "spacing_wavelengths", "measured"},
+    variant: {key for key, (field, _) in _SCHEMA[("model",)].items() if field in fields}
+    for variant, fields in VARIANT_FIELDS.items()
 }
 # the key path that sets each dataclass field, and those of the phase bounds
 _FIELD_KEYS = {
@@ -176,12 +176,9 @@ def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
     for key in raw:
         if key not in _MODEL_KEYS[variant]:
             p.fail(keys + (key,), f"key {key!r} does not apply to model type {variant!r}")
-    for key in ("xi", "angular_spread_deg"):
+    for key in ("xi", "phase_range_deg", "angular_spread_deg"):
         if key in _MODEL_KEYS[variant] and key not in raw:
             p.fail(keys, f"missing required key {key!r}")
-    # a Clerckx phase range has no default: a missing one is a malformed pair
-    if variant == "clerckx":
-        raw = {"phase_range_deg": None, **raw}
 
     fields = p.values(raw, keys)
     if "measured" in raw:

@@ -5,7 +5,7 @@ pivoted-Cholesky factorization for correlated channel synthesis, and the
 average-correlation diversity summary used by the closed-form SNR.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +56,16 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
+# the spec fields each variant reads
+VARIANT_FIELDS = {
+    "exponential": {"variant", "xi"},
+    "clerckx": {"variant", "xi", "phase_range_deg"},
+    "one_ring": {
+        "variant", "angular_spread_deg", "mean_doa_deg", "spacing_wavelengths", "measured"
+    },
+}
+
+
 @dataclass(frozen=True)
 class CorrelationModelSpec:
     """Resolved per-scenario correlation-model parameters.
@@ -64,6 +74,7 @@ class CorrelationModelSpec:
     terminal from the measured distribution) and ``mean_doa_deg`` the tag
     ``"uniform"`` (draw per terminal from U[-180, 180]). ``measured`` is the
     fit a ``"measured"`` spread draws from, the default fit when not given.
+    A field the variant does not read must keep its default.
     """
 
     variant: str
@@ -82,7 +93,7 @@ class CorrelationModelSpec:
                 )
         elif self.measured is None:
             object.__setattr__(self, "measured", MeasuredAngularModel())
-        if self.variant not in ("exponential", "clerckx", "one_ring"):
+        if self.variant not in VARIANT_FIELDS:
             raise InvalidParameterError(
                 f"unknown correlation model variant {self.variant!r}", field="variant"
             )
@@ -103,30 +114,36 @@ class CorrelationModelSpec:
             spacing_wavelengths=self.spacing_wavelengths,
             **{k: v for k, v in tagged.items() if not isinstance(v, str)},
         )
-        if self.variant in ("exponential", "clerckx") and not 0 <= self.xi <= 1:
+        # a field the variant does not read keeps its default, so one model
+        # has one spec, and its default passes the checks below
+        for f in fields(self):
+            if f.name not in VARIANT_FIELDS[self.variant] and getattr(self, f.name) != f.default:
+                raise InvalidParameterError(
+                    f"{f.name} does not apply to the {self.variant} model", field=f.name
+                )
+        if not 0 <= self.xi <= 1:
             raise InvalidParameterError(f"xi must be in [0, 1], got {self.xi}", field="xi")
         if lo > hi:
             raise InvalidParameterError(
                 f"phase range must be ordered, got ({lo}, {hi})", field="phase_range_deg"
             )
-        if self.variant == "one_ring":
-            s = self.angular_spread_deg
-            if isinstance(s, str):
-                if s != "measured":
-                    raise InvalidParameterError(
-                        f"unknown angular spread tag {s!r}", field="angular_spread_deg"
-                    )
-            elif not 0 < s <= 180:
+        s = self.angular_spread_deg
+        if isinstance(s, str):
+            if s != "measured":
                 raise InvalidParameterError(
-                    f"angular spread must be in (0, 180] deg, got {s}", field="angular_spread_deg"
+                    f"unknown angular spread tag {s!r}", field="angular_spread_deg"
                 )
-            d = self.mean_doa_deg
-            if isinstance(d, str) and d != "uniform":
-                raise InvalidParameterError(f"unknown mean DOA tag {d!r}", field="mean_doa_deg")
-            if self.spacing_wavelengths <= 0:
-                raise InvalidParameterError(
-                    "element spacing must be positive", field="spacing_wavelengths"
-                )
+        elif not 0 < s <= 180:
+            raise InvalidParameterError(
+                f"angular spread must be in (0, 180] deg, got {s}", field="angular_spread_deg"
+            )
+        d = self.mean_doa_deg
+        if isinstance(d, str) and d != "uniform":
+            raise InvalidParameterError(f"unknown mean DOA tag {d!r}", field="mean_doa_deg")
+        if self.spacing_wavelengths <= 0:
+            raise InvalidParameterError(
+                "element spacing must be positive", field="spacing_wavelengths"
+            )
 
 
 def _hermitian_toeplitz(col):
@@ -280,22 +297,27 @@ def factor(r: CorrelationMatrix) -> np.ndarray:
 def average_correlation(rs) -> tuple:
     """Entrywise mean of the terminal correlation matrices and Tr[Rbar^2].
 
-    Returns ``(rbar, trace_sq)``. The trace is computed both directly, as
-    ``sum_ij rbar_ij rbar_ji`` in O(M^2), and through the Hermitian identity
-    ``M + 2 * sum_{i<j} |rbar_ij|^2``; the two routes must agree to 1e-9
-    relative error or the call fails.
+    ``rs`` may be any iterable; it is read once, in order, and each matrix
+    is folded into the sum as it arrives, so a generator never holds more
+    than the matrix it yields. Returns ``(rbar, trace_sq)``. The trace is
+    computed both directly, as ``sum_ij rbar_ij rbar_ji`` in O(M^2), and
+    through the Hermitian identity ``M + 2 * sum_{i<j} |rbar_ij|^2``; the two
+    routes must agree to 1e-9 relative error or the call fails.
     """
-    if not rs:
-        raise DimensionMismatchError("need at least one correlation matrix")
-    m = rs[0].order
-    if any(r.order != m for r in rs):
-        raise DimensionMismatchError("correlation matrices differ in order")
-
-    # summed in place, in order: no (L, M, M) stack
-    rbar = np.zeros((m, m), np.result_type(*[r.entries for r in rs]))
-    for r in rs:
+    rbar = None
+    for count, r in enumerate(rs, 1):
+        if rbar is None:
+            rbar = np.zeros_like(r.entries)
+        elif r.order != len(rbar):
+            raise DimensionMismatchError("correlation matrices differ in order")
+        dtype = np.result_type(rbar, r.entries)
+        if dtype != rbar.dtype:  # a complex matrix after real ones
+            rbar = rbar.astype(dtype)
         rbar += r.entries
-    rbar /= len(rs)
+    if rbar is None:
+        raise DimensionMismatchError("need at least one correlation matrix")
+    m = len(rbar)
+    rbar /= count
     upper = rbar[np.triu_indices(m, k=1)]
     trace_sq = m + 2.0 * float(np.sum(np.abs(upper) ** 2))
     direct = float(np.einsum("ij,ji->", rbar, rbar).real)

@@ -15,9 +15,11 @@ from .errors import InvalidParameterError
 # Gram matrices past this condition number poison trace averages; callers
 # count the rejection and resample the trial
 COND_MAX = 1e12
-# bytes of channels one kernel chunk synthesizes: a chunk's channels and the
-# conjugate copy its Gram product makes stay this small whatever the batch
-_CHUNK_BYTES = 4 << 20
+# bytes of channels one kernel chunk synthesizes, so that its channels and the
+# conjugate copy its Gram product makes stay cache-sized whatever the batch
+# (170 trials at M=64, L=6); ``chunk_step`` keeps at least 64 trials, below
+# which each terminal's matrix product gets too thin to pay (M=256, L=16)
+_CHUNK_BYTES = 1 << 20
 
 
 def _eigen_stats(gram):
@@ -57,6 +59,11 @@ def gram_stats(h: np.ndarray) -> np.ndarray:
     return stats
 
 
+def chunk_step(n_term: int, m: int) -> int:
+    """Trials per ``gram_eta_stats`` chunk for L = ``n_term`` terminals and M = ``m``."""
+    return max(64, _CHUNK_BYTES // (n_term * m * 16))
+
+
 def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
     """Per-trial [Tr[(HH^H)^-1], lam_lo, lam_hi] for a batch of trials.
 
@@ -68,9 +75,10 @@ def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
     ``lam_hi <= COND_MAX * lam_lo`` holds exactly when the condition number
     is within ``COND_MAX``. A singular Gram matrix reports an infinite trace.
 
-    The trials run in chunks whose (step, L, M) channels fit in
-    ``_CHUNK_BYTES``; the step depends on L and M alone, so a trial's row
-    does not depend on the batch it came in.
+    The trials run in chunks of ``chunk_step(L, M)`` trials: as many as
+    fit their (step, L, M) channels in ``_CHUNK_BYTES``, but at least 64.
+    The step depends on L and M alone, so a trial's row does not depend on
+    the batch it came in.
 
     Parameters
     ----------
@@ -91,7 +99,7 @@ def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
             f"incompatible kernel shapes: w {w.shape}, bh {[b.shape for b in bh]}"
         )
     n_trials, n_term = w.shape[:2]
-    step = max(1, _CHUNK_BYTES // (n_term * m * w.itemsize))
+    step = chunk_step(n_term, m)
     stats = np.empty((n_trials, 3))
     for t in range(0, n_trials, step):
         stats[t : t + step] = gram_stats(channels(w[t : t + step], bh))

@@ -228,7 +228,7 @@ def _terminal_profiles(scenario: Scenario, rng):
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
         deltas = [float(rng.uniform(lo, hi)) for _ in range(n)]
-        _, trace_sq = average_correlation([build_clerckx(m, model.xi, d) for d in deltas])
+        _, trace_sq = average_correlation(build_clerckx(m, model.xi, d) for d in deltas)
         _, bh = _exponential_profile(m, model.xi)
         # R = D^H T D with T exponential and D = diag(e^{j delta i}), so
         # B^H = B_T^H D is the shared factor with its columns phase-ramped
@@ -243,9 +243,17 @@ def _terminal_profiles(scenario: Scenario, rng):
         spreads = [draw_truncated_spread(model.measured, rng) for _ in range(n)]
     else:
         spreads = [float(model.angular_spread_deg)] * n
-    rs = [build_one_ring(m, s, d, model.spacing_wavelengths) for s, d in zip(spreads, doas)]
-    _, trace_sq = average_correlation(rs)
-    return trace_sq, [factor(r) for r in rs]
+    bh = []
+
+    def profiles():
+        # each matrix is factored and folded into Rbar before the next is built
+        for s, d in zip(spreads, doas):
+            r = build_one_ring(m, s, d, model.spacing_wavelengths)
+            bh.append(factor(r))
+            yield r
+
+    _, trace_sq = average_correlation(profiles())
+    return trace_sq, bh
 
 
 def _draw_geometry(scenario: Scenario, drop_index: int):
@@ -272,7 +280,8 @@ def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
     rejected = 0
     gen_redraw = None
     ranks = [len(b) for b in bh]
-    for t in np.flatnonzero(~kernels.conditioned(stats)):
+    bad = np.flatnonzero(~kernels.conditioned(stats))
+    for t in bad:
         if gen_redraw is None:
             gen_redraw = _stream(scenario.seed, drop_index, _REDRAW_LANE)
         # every attempt takes the next r_l pairs of the redraw lane for each
@@ -288,10 +297,12 @@ def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
             raise RunFailureError(
                 f"trial {t} still ill-conditioned after {_MAX_REDRAWS} redraws"
             )
+    # the threshold counts redraw attempts, which outnumber the rejected
+    # trials whenever one trial needs several
     if rejected > 0.05 * scenario.n_fading:
         raise RunFailureError(
-            f"{rejected} rejected trials out of {scenario.n_fading} exceeds "
-            f"the 5% abort threshold"
+            f"{len(bad)} rejected trials out of {scenario.n_fading} took {rejected} "
+            f"redraw attempts, more than the 5% abort threshold allows"
         )
     return stats, rejected
 

@@ -272,6 +272,22 @@ def test_average_correlation_dimension_mismatch():
         average_correlation([])
 
 
+def test_average_correlation_reads_any_iterable():
+    rng = np.random.default_rng(12)
+    rs = [build_exponential(16, 0.7)]
+    rs += [build_clerckx(16, 0.7, d) for d in rng.uniform(-180, 180, size=3)]
+    rs += [build_one_ring(16, s, d) for s, d in zip([5.0, 14.02], [-40.0, 25.0])]
+    rbar, tsq = average_correlation(rs)
+    rbar_gen, tsq_gen = average_correlation(r for r in rs)
+    np.testing.assert_array_equal(rbar_gen, rbar)
+    assert rbar_gen.dtype == rbar.dtype
+    assert tsq_gen == tsq
+    with pytest.raises(DimensionMismatchError):
+        average_correlation(r for r in [])
+    with pytest.raises(DimensionMismatchError):
+        average_correlation(build_exponential(m, 0.5) for m in (3, 3, 4))
+
+
 def test_trace_identity_on_random_ensembles():
     # product-trace route must equal M + 2*sum|upper|^2 to 1e-9 relative;
     # average_correlation raises internally if not, so just exercise it
@@ -390,3 +406,29 @@ def test_model_spec_owns_the_measured_fit():
     assert fitted.measured is fit
     assert fitted != default
     assert hash(fitted) != hash(default)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"variant": "exponential", "xi": 0.9, "angular_spread_deg": 20.0}, "angular_spread_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "angular_spread_deg": "measured"}, "angular_spread_deg"),
+        ({"variant": "exponential", "xi": 0.9, "phase_range_deg": (0.0, 38.0)}, "phase_range_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "mean_doa_deg": 0.0}, "mean_doa_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "spacing_wavelengths": 1.0}, "spacing_wavelengths"),
+        ({"variant": "one_ring", "xi": 0.5}, "xi"),
+        ({"variant": "one_ring", "phase_range_deg": (0.0, 38.0)}, "phase_range_deg"),
+    ],
+)
+def test_model_spec_rejects_fields_its_variant_does_not_read(kwargs, field):
+    # such a field would split one model into two unequal specs
+    with pytest.raises(InvalidParameterError, match="does not apply") as exc:
+        CorrelationModelSpec(**kwargs)
+    assert exc.value.field == field
+
+
+def test_model_spec_accepts_defaults_of_fields_its_variant_does_not_read():
+    spec = CorrelationModelSpec(
+        variant="exponential", xi=0.9, phase_range_deg=[0.0, 0.0], angular_spread_deg=14.02
+    )
+    assert spec == CorrelationModelSpec(variant="exponential", xi=0.9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corrdiv import kernels
 from corrdiv.errors import InvalidParameterError
 from corrdiv.kernels import COND_MAX, conditioned, gram_eta_stats
 from corrdiv.zfcore import draw_fading
@@ -58,7 +59,7 @@ class TestChunks:
     def test_rows_do_not_depend_on_the_width_of_w(self):
         # chunks are sized from L and M alone, so a batch's whole-chunk
         # eigenvalue fallback hits the same trials however many columns w
-        # carries: at L=4, M=64 a chunk holds 1024 trials
+        # carries: at L=4, M=64 a chunk holds 256 trials
         rng = np.random.default_rng(8)
         n_trials, l, m, r = 2000, 4, 64, 40
         z = rng.standard_normal((n_trials, l, 2 * m))
@@ -69,6 +70,43 @@ class TestChunks:
         stats = gram_eta_stats(wide, bh)
         assert not conditioned(stats)[0] and conditioned(stats)[1:].all()
         np.testing.assert_array_equal(gram_eta_stats(narrow, bh), stats)
+
+    @pytest.mark.parametrize(
+        "l, m, sizes",
+        # 1 MiB of channels at M=64, L=6; the 64-trial floor at M=256, L=16
+        [(6, 64, [170, 170, 160]), (16, 256, [64] * 7 + [52])],
+    )
+    def test_chunk_sizes_follow_l_and_m(self, monkeypatch, l, m, sizes):
+        seen = []
+        gram_stats = kernels.gram_stats
+
+        def spy(h):
+            seen.append(len(h))
+            return gram_stats(h)
+
+        monkeypatch.setattr(kernels, "gram_stats", spy)
+        rng = np.random.default_rng(4)
+        w = draw_fading([rng] * l, [4] * l, 500)
+        bh = rng.standard_normal((l, 4, m)) + 1j * rng.standard_normal((l, 4, m))
+        gram_eta_stats(w, bh)
+        assert seen == sizes
+        assert kernels.chunk_step(l, m) == sizes[0]
+
+    @pytest.mark.parametrize("l, m", [(6, 64), (16, 256)])
+    def test_rows_do_not_depend_on_the_chunk_budget(self, monkeypatch, l, m):
+        # a well-conditioned batch never takes the eigenvalue fallback, so
+        # every chunking gives each trial the same row
+        rng = np.random.default_rng(9)
+        r = 2 * l
+        w = draw_fading([rng] * l, [r] * l, 300)
+        bh = rng.standard_normal((l, r, m)) + 1j * rng.standard_normal((l, r, m))
+        rows = []
+        for budget in (4 << 20, 1 << 20, 64 << 10):
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", budget)
+            rows.append(gram_eta_stats(w, bh))
+        assert conditioned(rows[0]).all()
+        for other in rows[1:]:
+            np.testing.assert_array_equal(other, rows[0])
 
 
 def near_dependent_batch(eps, l=3, m=8, seed=3):

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from corrdiv import kernels, montecarlo
 from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
 from corrdiv.errors import InvalidParameterError, RunFailureError
+from corrdiv.propagation import GeometryConfig
 from corrdiv.zfcore import draw_fading
 from corrdiv.montecarlo import (
     Scenario,
@@ -206,6 +208,21 @@ class TestRunDrop:
         with pytest.raises(RunFailureError, match="5%"):
             run_drop(exp_scenario(n_fading=10), 0)
 
+    def test_abort_counts_redraw_attempts_apart_from_rejected_trials(self):
+        # measured one-ring at L/M = 3/4: rejected trials need several
+        # redraws each, so the attempts outnumber the rejected trials
+        model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
+        geometry = GeometryConfig(attenuation_constant=1e3)
+        scenario = Scenario(
+            m=64, l=48, model=model, n_drops=8, n_fading=100, seed=11, geometry=geometry
+        )
+        with pytest.raises(RunFailureError) as exc:
+            run_drop(scenario, 2)
+        assert str(exc.value) == (
+            "54 rejected trials out of 100 took 147 redraw attempts, "
+            "more than the 5% abort threshold allows"
+        )
+
     def test_degenerate_ensemble_exhausts_redraws(self):
         scenario = exp_scenario(m=4, l=2, model=DEGENERATE, n_fading=4, seed=3)
         with pytest.raises(RunFailureError, match="redraws"):
@@ -313,6 +330,24 @@ class TestFadingStreams:
         clerckx = CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0.0, 38.0))
         run_drop(exp_scenario(n_fading=20, model=clerckx, rho_t_db=7.0), 3)
         assert np.array_equal(kernel.batches[0], kernel.batches[1])
+
+
+class TestTerminalProfiles:
+    def test_one_ring_profiles_are_built_one_at_a_time(self):
+        # each matrix is factored and folded into Rbar before the next is
+        # built, so the peak does not grow with L
+        m = 256
+        model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
+        scenario = Scenario(m=m, l=16, model=model, n_drops=1, n_fading=1, seed=20190417)
+        montecarlo._terminal_profiles(scenario, montecarlo._stream(scenario.seed, 0, 1))
+        tracemalloc.start()
+        try:
+            _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(scenario.seed, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = m * m * np.dtype(np.complex128).itemsize
+        assert peak - sum(b.nbytes for b in bh) < 8 * matrix
 
 
 class TestExponentialProfileCache:
@@ -560,7 +595,7 @@ class TestRunScenarios:
     def test_one_ring_result_does_not_depend_on_the_pass(self):
         # beside an exponential run every terminal's fading is drawn to full
         # rank; alone, only to the one-ring ranks. 300 trials at M=128, L=8
-        # take two kernel chunks
+        # take five kernel chunks of up to 64 trials
         model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
         one_ring = Scenario(m=128, l=8, model=model, n_drops=2, n_fading=300, seed=21)
         exponential = replace(one_ring, model=CorrelationModelSpec(variant="exponential", xi=0.5))

@@ -190,7 +190,9 @@ class TestAngularParams:
         monkeypatch.setattr(
             montecarlo, "build_one_ring", lambda m, spread, doa, spacing: doas.append(doa)
         )
-        monkeypatch.setattr(montecarlo, "average_correlation", lambda rs: (None, 50.0))
+        # the stub reads the profiles it is given, as the engine builds them
+        # only as they are read
+        monkeypatch.setattr(montecarlo, "average_correlation", lambda rs: (list(rs), 50.0))
         monkeypatch.setattr(montecarlo, "factor", lambda r: np.ones((1, 1)))
         scenario = Scenario(
             m=50,
