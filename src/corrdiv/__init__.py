@@ -25,8 +25,6 @@ from .montecarlo import (
     Scenario,
     ScenarioResult,
     calibrate_attenuation_constant,
-    empirical_cdf,
-    percentile,
     pooled_expected_snr_db,
     pooled_instantaneous_snr_db,
     run_drop,
@@ -72,14 +70,12 @@ __all__ = [
     "build_one_ring",
     "calibrate_attenuation_constant",
     "draw_fading",
-    "empirical_cdf",
     "expected_sum_se_closed_form",
     "expected_zf_snr_closed_form",
     "factor",
     "gram_eta_stats",
     "moment_trace_gram_squared",
     "neumann_trace_inverse",
-    "percentile",
     "pooled_expected_snr_db",
     "pooled_instantaneous_snr_db",
     "run_drop",

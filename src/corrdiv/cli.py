@@ -20,8 +20,6 @@ from .montecarlo import (
     RNG_CONTRACT,
     Scenario,
     calibration_baseline,
-    empirical_cdf,
-    percentile,
     pooled_expected_snr_db,
     pooled_instantaneous_snr_db,
     run_scenarios,
@@ -275,51 +273,38 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
+def _load(paths, args):
+    """Parse every scenario file, then apply ``--seed`` to each.
+
+    Returns ``(scenarios, wants_calibration)``. The scenarios must pair on
+    common random numbers: equal M, L, seed, geometry, calibration and run
+    sizes.
+    """
+    parsed = [load_scenario_file(p) for p in paths]
+    scenarios = [s for s, _ in parsed]
     if args.seed is not None:
         try:
-            scenario = replace(scenario, seed=args.seed)
+            scenarios = [replace(s, seed=args.seed) for s in scenarios]
         except InvalidParameterError as exc:
             raise ScenarioError(f"--seed {args.seed}: {exc}")
-    return scenario
-
-
-def _write_drops_table(path, result):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "drop",
-                "terminal",
-                "distance_m",
-                "beta_db",
-                "expected_snr_sim_db",
-                "expected_snr_cf_db",
-                "trace_sq",
-            ]
+    signatures = {
+        (s.m, s.l, s.seed, s.geometry, wants, s.n_drops, s.n_fading)
+        for s, (_, wants) in zip(scenarios, parsed)
+    }
+    if len(signatures) > 1:
+        raise ScenarioError(
+            "scenarios are incompatible: M, L, seed, geometry and run sizes must match"
         )
-        for drop in result.drops:
-            beta_db = 10.0 * np.log10(drop.link_gains)
-            for term in range(drop.link_gains.size):
-                writer.writerow(
-                    [
-                        drop.drop_index,
-                        term,
-                        _fmt(drop.distances_m[term]),
-                        _fmt(beta_db[term]),
-                        _fmt(drop.per_terminal_expected_snr_db[term]),
-                        _fmt(drop.per_terminal_closed_form_snr_db[term]),
-                        _fmt(drop.trace_sq),
-                    ]
-                )
+    return scenarios, parsed[0][1]
 
 
-def _write_summary_table(path, summary):
+def _write_csv(path, header, rows):
+    """A table whose cells are strings, integers or full-precision floats."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
-        for key, value in summary.items():
-            writer.writerow([key, value if isinstance(value, int) else _fmt(value)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (str, int)) else _fmt(v) for v in row])
 
 
 def _write_manifest(path, scenario):
@@ -328,17 +313,36 @@ def _write_manifest(path, scenario):
 
 
 def cmd_run(args) -> int:
-    scenario, wants_calibration = load_scenario_file(args.scenario)
-    scenario = _apply_overrides(scenario, args)
+    scenarios, wants_calibration = _load([args.scenario], args)
     # calibration, when asked for, runs in the same call and resolves the constant
-    (result,) = run_scenarios([scenario], workers=args.workers, calibrate=wants_calibration)
-    scenario = result.scenario
+    (result,) = run_scenarios(scenarios, workers=args.workers, calibrate=wants_calibration)
+    rows = []
+    for drop in result.drops:
+        columns = zip(
+            drop.distances_m,
+            10.0 * np.log10(drop.link_gains),
+            drop.per_terminal_expected_snr_db,
+            drop.per_terminal_closed_form_snr_db,
+        )
+        rows += ([drop.drop_index, t, *values, drop.trace_sq] for t, values in enumerate(columns))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_drops_table(out / "drops.csv", result)
-    _write_summary_table(out / "summary.csv", result.summary)
-    _write_manifest(out / "manifest.yaml", scenario)
+    _write_csv(
+        out / "drops.csv",
+        [
+            "drop",
+            "terminal",
+            "distance_m",
+            "beta_db",
+            "expected_snr_sim_db",
+            "expected_snr_cf_db",
+            "trace_sq",
+        ],
+        rows,
+    )
+    _write_csv(out / "summary.csv", ["metric", "value"], result.summary.items())
+    _write_manifest(out / "manifest.yaml", result.scenario)
     print(f"wrote {out / 'drops.csv'}, {out / 'summary.csv'}, {out / 'manifest.yaml'}")
     print(
         "median expected SNR "
@@ -348,66 +352,45 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _compatibility_signature(scenario: Scenario, wants_calibration: bool):
-    return (
-        scenario.m,
-        scenario.l,
-        scenario.seed,
-        scenario.geometry,
-        wants_calibration,
-        scenario.n_drops,
-        scenario.n_fading,
-    )
-
-
 def cmd_compare(args) -> int:
     paths = args.scenario
     if len(paths) < 2:
         raise ScenarioError("compare needs at least two --scenario files")
-    parsed = [load_scenario_file(p) for p in paths]
-    scenarios = [_apply_overrides(s, args) for s, _ in parsed]
-    flags = [w for _, w in parsed]
-
-    signatures = {_compatibility_signature(s, w) for s, w in zip(scenarios, flags)}
-    if len(signatures) > 1:
-        raise ScenarioError(
-            "scenarios are incompatible: M, L, seed, geometry and run sizes must match"
-        )
+    scenarios, wants_calibration = _load(paths, args)
     labels = []
     for i, p in enumerate(paths):
         stem = Path(p).stem
         labels.append(stem if stem not in labels else f"{stem}#{i}")
 
     # one drop-major pass: the scenarios read the same fading streams in each drop
-    results = run_scenarios(scenarios, workers=args.workers, calibrate=flags[0])
+    results = run_scenarios(scenarios, workers=args.workers, calibrate=wants_calibration)
     pooled = [pooled_expected_snr_db(r) for r in results]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "cdf.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "expected_snr_db", "cdf_prob"])
-        for label, samples in zip(labels, pooled):
-            for value, prob in empirical_cdf(samples):
-                writer.writerow([label, _fmt(value), _fmt(prob)])
-
-    gain_rows = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            diff = pooled[j] - pooled[i]
-            gain_rows.append(
-                (
-                    labels[i],
-                    labels[j],
-                    percentile(diff, 50.0),
-                    percentile(pooled[j], 50.0) - percentile(pooled[i], 50.0),
-                )
-            )
-    with open(out / "gains.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["baseline", "alternative", "median_gain_db", "delta_median_db"])
-        for base, alt, gain, delta in gain_rows:
-            writer.writerow([base, alt, _fmt(gain), _fmt(delta)])
+    _write_csv(
+        out / "cdf.csv",
+        ["scenario", "expected_snr_db", "cdf_prob"],
+        (
+            (label, value, k / samples.size)
+            for label, samples in zip(labels, pooled)
+            for k, value in enumerate(np.sort(samples), 1)
+        ),
+    )
+    # the gain is the median of the differences paired by (drop, terminal),
+    # so the samples are differenced in pass order, never sorted first
+    gain_rows = [
+        (
+            labels[i],
+            labels[j],
+            np.percentile(pooled[j] - pooled[i], 50.0),
+            np.percentile(pooled[j], 50.0) - np.percentile(pooled[i], 50.0),
+        )
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+    ]
+    header = ["baseline", "alternative", "median_gain_db", "delta_median_db"]
+    _write_csv(out / "gains.csv", header, gain_rows)
 
     for base, alt, gain, _ in gain_rows:
         print(f"median gain of {alt} over {base}: {gain:.3f} dB")
@@ -416,13 +399,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    scenario, wants_calibration = load_scenario_file(args.scenario)
+    (scenario,), wants_calibration = _load([args.scenario], args)
     if not wants_calibration:
         raise ScenarioError(
             "geometry.calibrate: true is required for the calibrate command",
             path=str(args.scenario),
         )
-    scenario = _apply_overrides(scenario, args)
     # the pass that calibrates also aggregates the baseline's draws at the
     # constant, at any worker count, which gives the achieved percentile
     (result,) = run_scenarios(
@@ -430,17 +412,14 @@ def cmd_calibrate(args) -> int:
         workers=args.workers,
         calibrate=True,
     )
-    constant = result.scenario.geometry.attenuation_constant
-    resolved = replace(
-        scenario, geometry=replace(scenario.geometry, attenuation_constant=constant)
-    )
-    achieved = percentile(pooled_instantaneous_snr_db(result), 5.0)
+    resolved = replace(scenario, geometry=result.scenario.geometry)
+    achieved = np.percentile(pooled_instantaneous_snr_db(result), 5.0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved_path = out / f"{Path(args.scenario).stem}.resolved.yaml"
     _write_manifest(resolved_path, resolved)
-    print(f"attenuation_constant: {_fmt(constant)}")
+    print(f"attenuation_constant: {_fmt(resolved.geometry.attenuation_constant)}")
     print(f"achieved 5th percentile of instantaneous ZF SNR: {achieved:.6f} dB")
     print(f"wrote {resolved_path}")
     return 0
@@ -455,32 +434,29 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one scenario and write result tables")
-    run_p.add_argument("--scenario", required=True, help="scenario YAML file")
-    run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--workers", type=int, default=1, help="drop-level worker processes")
-    run_p.set_defaults(handler=cmd_run)
-
-    cmp_p = sub.add_parser("compare", help="run several scenarios and report pairwise gains")
-    cmp_p.add_argument(
-        "--scenario",
-        action="append",
-        required=True,
-        help="scenario YAML file (repeat for each scenario)",
-    )
-    cmp_p.add_argument("--out", default=".", help="output directory")
-    cmp_p.add_argument("--seed", type=int, default=None, help="override every scenario seed")
-    cmp_p.add_argument("--workers", type=int, default=1, help="drop-level worker processes")
-    cmp_p.set_defaults(handler=cmd_compare)
-
-    cal_p = sub.add_parser("calibrate", help="calibrate the attenuation constant")
-    cal_p.add_argument("--scenario", required=True, help="scenario YAML file with calibrate: true")
-    cal_p.add_argument("--out", default=".", help="output directory for the resolved scenario")
-    cal_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    cal_p.add_argument("--workers", type=int, default=1, help="drop-level worker processes")
-    cal_p.set_defaults(handler=cmd_calibrate)
+    # built per call, so a handler replaced after import, such as a tracing
+    # wrapper, is the one that runs
+    commands = {
+        "run": (cmd_run, "run one scenario and write result tables", "scenario YAML file"),
+        "compare": (
+            cmd_compare,
+            "run several scenarios and report pairwise gains",
+            "scenario YAML file (repeat for each scenario)",
+        ),
+        "calibrate": (
+            cmd_calibrate,
+            "calibrate the attenuation constant",
+            "scenario YAML file with calibrate: true",
+        ),
+    }
+    for name, (handler, help_text, scenario_help) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        action = "append" if name == "compare" else "store"
+        p.add_argument("--scenario", action=action, required=True, help=scenario_help)
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override each scenario's seed")
+        p.add_argument("--workers", type=int, default=1, help="drop-level worker processes")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -490,15 +466,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
         return args.handler(args)
-    except ScenarioError as exc:
+    except (CorrDivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorrDivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ScenarioError) else 1
 
 
 if __name__ == "__main__":

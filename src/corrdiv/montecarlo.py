@@ -137,6 +137,8 @@ class DropResult:
     sum_se_sim_bits: float
     sum_se_cf_bits: float
     trace_sq: float
+    # redraw attempts, which outnumber the rejected trials whenever one
+    # trial needs several
     rejected_trials: int
     eta_cv: float
     # each trial's L / Tr[G^-1]; a terminal's instantaneous SNR is
@@ -387,12 +389,9 @@ def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
     mean_inv_eta = float(np.mean(inv_eta))
     snr_sim_db = 10.0 * np.log10(scale * mean_inv_eta)
     snr_cf_db = 10.0 * np.log10(
-        [
-            expected_zf_snr_closed_form(
-                float(b), n_ant, n_term, trace_sq, scenario.rho_t_linear, scenario.sigma2
-            )
-            for b in betas
-        ]
+        expected_zf_snr_closed_form(
+            betas, n_ant, n_term, trace_sq, scenario.rho_t_linear, scenario.sigma2
+        )
     )
     inst_snr = np.outer(inv_eta, scale)
     sum_se_sim = float(np.mean(np.sum(np.log2(1.0 + inst_snr), axis=1)))
@@ -583,19 +582,3 @@ def pooled_expected_snr_db(result: ScenarioResult) -> np.ndarray:
     """Fading-averaged per-terminal SNRs in (drop, terminal) order."""
     return np.concatenate([d.per_terminal_expected_snr_db for d in result.drops])
 
-
-def empirical_cdf(samples):
-    """Step CDF: sorted samples paired with probabilities i/n."""
-    arr = np.sort(np.asarray(samples, dtype=np.float64))
-    if arr.size == 0:
-        raise InvalidParameterError("empirical_cdf needs at least one sample")
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return list(zip(arr.tolist(), probs.tolist()))
-
-
-def percentile(samples, q) -> float:
-    """Linear-interpolation percentile matching the step-CDF convention."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise InvalidParameterError("percentile needs at least one sample")
-    return float(np.percentile(arr, q))

@@ -27,7 +27,6 @@ from corrdiv.corrmodels import (
 from corrdiv.kernels import gram_eta_stats
 from corrdiv.montecarlo import (
     Scenario,
-    percentile,
     pooled_expected_snr_db,
     run_scenario,
     run_scenarios,
@@ -137,7 +136,7 @@ def pooled_closed_form_snr_db(result):
 
 def median_gain_db(runs, baseline, alternative, pooled=pooled_expected_snr_db):
     diff = pooled(runs[alternative]) - pooled(runs[baseline])
-    return percentile(diff, 50.0)
+    return np.percentile(diff, 50.0)
 
 
 def diversity_ceiling_db(trace_sq):

@@ -2,19 +2,23 @@
 subprocess with a timeout, where a regression would hang."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import corrdiv
-from corrdiv.cli import load_scenario_file, main, scenario_to_dict
-from corrdiv.montecarlo import RNG_CONTRACT
+from corrdiv import cli
+from corrdiv.cli import _build_arg_parser, load_scenario_file, main, scenario_to_dict
+from corrdiv.montecarlo import RNG_CONTRACT, pooled_expected_snr_db, run_scenarios
 
-SAMPLES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLES = sorted((ROOT / "scenarios").glob("*.yaml"))
 
 MINIMAL = """\
 m: 8
@@ -42,13 +46,14 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
-def run_in_subprocess(scenario, out, timeout=60):
-    """``corrdiv run`` in a fresh interpreter; past ``timeout`` seconds the test fails."""
+def run_in_subprocess(scenario, out, timeout=60, command=("-m", "corrdiv.cli")):
+    """``corrdiv run`` in a fresh interpreter, started as ``python <command> run
+    ...``; past ``timeout`` seconds the test fails."""
     paths = [str(Path(corrdiv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     args = ["run", "--scenario", str(scenario), "--out", str(out)]
     return subprocess.run(
-        [sys.executable, "-m", "corrdiv.cli", *args],
+        [sys.executable, *command, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -179,6 +184,25 @@ run:
   n_fading: 10
   seed: 7
 """
+
+
+class TestArgParser:
+    @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
+    def test_commands_share_options_and_defaults(self, command, monkeypatch):
+        parse = _build_arg_parser().parse_args
+        args = parse([command, "--scenario", "s.yaml"])
+        assert args.scenario == (["s.yaml"] if command == "compare" else "s.yaml")
+        assert (args.out, args.seed, args.workers) == (".", None, 1)
+        flags = ["--out", "o", "--seed", "3", "--workers", "2"]
+        args = parse([command, "--scenario", "s.yaml", *flags])
+        assert (args.out, args.seed, args.workers) == ("o", 3, 2)
+        with pytest.raises(SystemExit):
+            parse([command, "--out", "o"])
+        # the handler is the module's at parse time, so a wrapper set after
+        # import takes effect
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: 0)
+        args = _build_arg_parser().parse_args([command, "--scenario", "s.yaml"])
+        assert args.handler is getattr(cli, f"cmd_{command}")
 
 
 class TestValidation:
@@ -350,13 +374,13 @@ class TestValidation:
         assert f"{scenario}:{line}: model.measured.spread_mean_deg:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
     @pytest.mark.parametrize(
         "flag, value",
         [("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0"), ("--workers", "-2")],
     )
     def test_rejected_override_exits_two(self, tmp_path, capsys, command, flag, value):
-        scenario = write_scenario(tmp_path, MINIMAL)
+        scenario = write_scenario(tmp_path, CALIBRATE if command == "calibrate" else MINIMAL)
         out = tmp_path / "out"
         args = [command, "--scenario", str(scenario), "--out", str(out), flag, value]
         if command == "compare":
@@ -406,6 +430,45 @@ class TestCompareCommand:
         assert len(rows) == 2 * 4
         probs = [float(r[2]) for r in rows if r[0] == "exp"]
         assert probs == [0.25, 0.5, 0.75, 1.0]
+        # a step CDF: each scenario's pooled samples ascending, the k-th at k/n
+        results = run_scenarios([load_scenario_file(p)[0] for p in (a, b)])
+        for label, result in zip(("exp", "clerckx"), results):
+            samples = pooled_expected_snr_db(result)
+            values = [float(r[1]) for r in rows if r[0] == label]
+            assert values == sorted(values) == sorted(samples.tolist())
+            probs = [float(r[2]) for r in rows if r[0] == label]
+            assert probs == [k / samples.size for k in range(1, samples.size + 1)]
+
+    def test_gain_is_the_median_of_paired_differences(self, tmp_path, capsys):
+        # no shadowing and a thin ring of terminals, so the correlation model,
+        # not the link gain, decides how the samples sort
+        text = MINIMAL.replace("n_drops: 2", "n_drops: 5").replace(
+            "  attenuation_constant: 1.0",
+            "  attenuation_constant: 1.0\n  cell_radius_m: 51.0\n  sigma_sh_db: 0.0",
+        )
+        a = write_scenario(tmp_path, text, "exp.yaml")
+        b = write_scenario(
+            tmp_path,
+            text.replace(
+                "  type: exponential\n  xi: 0.6",
+                "  type: clerckx\n  xi: 0.6\n  phase_range_deg: [0.0, 90.0]",
+            ),
+            "clerckx.yaml",
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--scenario", str(a), "--scenario", str(b), "--out", str(out)]) == 0
+        (_, _, gain, delta), = read_rows(out / "gains.csv")[1:]
+        base, alt = (
+            pooled_expected_snr_db(r)
+            for r in run_scenarios([load_scenario_file(p)[0] for p in (a, b)])
+        )
+        assert float(gain) == np.percentile(alt - base, 50.0)
+        assert float(delta) == np.percentile(alt, 50.0) - np.percentile(base, 50.0)
+        # pairing by (drop, terminal) matters here: neither the difference of
+        # the medians nor the median of sorted differences equals the gain
+        assert float(gain) != float(delta)
+        assert float(gain) != np.percentile(np.sort(alt) - np.sort(base), 50.0)
+        assert f"median gain of clerckx over exp: {float(gain):.3f} dB" in capsys.readouterr().out
 
     def test_mismatched_scenarios_rejected(self, tmp_path, capsys):
         a = write_scenario(tmp_path, MINIMAL, "a.yaml")
@@ -532,3 +595,19 @@ class TestCalibrateCommand:
         scenario = write_scenario(tmp_path, MINIMAL)
         assert main(["calibrate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
         assert "calibrate: true is required" in capsys.readouterr().err
+
+
+class TestTracedRun:
+    def test_span_tracer_wraps_every_layer(self, tmp_path):
+        """The benchmark's tracer replaces named functions of the package in
+        place; a run under it succeeds and records the command, parse and
+        kernel layers."""
+        scenario = write_scenario(tmp_path, MINIMAL)
+        spans_path = tmp_path / "spans.json"
+        tracer = (str(ROOT / "bench" / "trace_cli.py"), str(spans_path), "--")
+        proc = run_in_subprocess(scenario, tmp_path / "out", command=tracer)
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(spans_path.read_text())
+        assert traced["exit_code"] == 0
+        names = {span[0] for span in traced["spans"]}
+        assert {"cli.cmd", "cli.parse", "kernels.gram"} <= names

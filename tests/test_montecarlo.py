@@ -19,8 +19,6 @@ from corrdiv.montecarlo import (
     Scenario,
     calibrate_attenuation_constant,
     calibration_baseline,
-    empirical_cdf,
-    percentile,
     pooled_expected_snr_db,
     pooled_instantaneous_snr_db,
     run_drop,
@@ -729,23 +727,21 @@ class TestRunScenarios:
         )
 
 
+
 class TestCdfHelpers:
     def test_interpolated_median_of_four(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
-        cdf = empirical_cdf([3.0, 1.0, 4.0, 2.0])
-        assert cdf == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
-
-    def test_constant_samples(self):
-        samples = [7.5] * 10
-        for q in (0.0, 5.0, 50.0, 95.0, 100.0):
-            assert percentile(samples, q) == 7.5
-
-    def test_uniform_order_statistic(self):
-        draws = np.random.Generator(np.random.Philox(1234)).uniform(size=100_000)
-        assert percentile(draws, 5.0) == pytest.approx(0.05, abs=0.005)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            empirical_cdf([])
-        with pytest.raises(InvalidParameterError):
-            percentile([], 50.0)
+        # the summary reads percentiles of the pooled (drop, terminal)
+        # samples by linear interpolation, so the median of four sits
+        # halfway between the middle two
+        drop = run_drop(exp_scenario(), 0)
+        drops = [
+            replace(drop, per_terminal_expected_snr_db=np.array([3.0, 1.0])),
+            replace(drop, per_terminal_expected_snr_db=np.array([4.0, 2.0])),
+        ]
+        result = montecarlo.ScenarioResult(
+            exp_scenario(), tuple(drops), montecarlo._summarize(drops, 0)
+        )
+        assert pooled_expected_snr_db(result).tolist() == [3.0, 1.0, 4.0, 2.0]
+        assert result.summary["expected_snr_db_median"] == pytest.approx(2.5)
+        assert result.summary["expected_snr_db_p5"] == pytest.approx(1.15)
+        assert result.summary["expected_snr_db_p95"] == pytest.approx(3.85)

@@ -11,7 +11,6 @@ from corrdiv import (
     RunFailureError,
     Scenario,
     calibrate_attenuation_constant,
-    percentile,
     pooled_instantaneous_snr_db,
     run_scenario,
     sample_link_gain,
@@ -237,7 +236,7 @@ def bisect_attenuation(baseline):
     baseline's instantaneous SNR samples, rescaled to each trial A."""
     unit = replace(baseline, geometry=replace(baseline.geometry, attenuation_constant=1.0))
     samples_db = instantaneous_snr_db(unit)
-    p5_at = lambda log_a: percentile(samples_db + 10.0 * log_a, 5.0)  # noqa: E731
+    p5_at = lambda log_a: np.percentile(samples_db + 10.0 * log_a, 5.0)  # noqa: E731
     lo, hi = -12.0, 12.0
     assert p5_at(lo) < 0 < p5_at(hi)
     for _ in range(60):
@@ -274,14 +273,14 @@ class TestCalibration:
             base, geometry=replace(base.geometry, attenuation_constant=2.0)
         )
         doubled = instantaneous_snr_db(doubled_scenario)
-        shift = percentile(doubled, 5.0) - percentile(single, 5.0)
+        shift = np.percentile(doubled, 5.0) - np.percentile(single, 5.0)
         assert shift == pytest.approx(10 * np.log10(2.0), abs=1e-9)
 
     def test_achieves_target_percentile(self):
         base = small_baseline()
         a = calibrate_attenuation_constant(base)
         calibrated = replace(base, geometry=replace(base.geometry, attenuation_constant=a))
-        achieved = percentile(instantaneous_snr_db(calibrated), 5.0)
+        achieved = np.percentile(instantaneous_snr_db(calibrated), 5.0)
         assert abs(achieved) < 1e-9
 
     def test_rejects_non_baseline_scenario(self):

@@ -238,6 +238,15 @@ class TestClosedForm:
         with pytest.raises(InvalidParameterError):
             expected_zf_snr_closed_form(-1.0, 8, 2, 10.0, 1.0, 1.0)
 
+    def test_array_of_link_gains_matches_scalar_calls(self):
+        betas = np.array([0.3, 1.0, 2.5e-9, 7.0])
+        snrs = expected_zf_snr_closed_form(betas, 64, 4, 90.0, 3.2, 0.7)
+        singles = [expected_zf_snr_closed_form(float(b), 64, 4, 90.0, 3.2, 0.7) for b in betas]
+        assert snrs.tolist() == singles
+        assert all(type(snr) is float for snr in singles)
+        with pytest.raises(InvalidParameterError):
+            expected_zf_snr_closed_form(np.array([1.0, 0.0]), 8, 2, 10.0, 1.0, 1.0)
+
     def test_argmax_invariant_to_power_scaling(self):
         candidates = [70.0, 120.0, 260.0]
         ranks_low = [expected_zf_snr_closed_form(1.0, 64, 6, t, 1.0, 1.0) for t in candidates]
