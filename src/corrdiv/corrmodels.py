@@ -180,10 +180,14 @@ def build_clerckx(m: int, xi: float, delta_phase_deg: float) -> CorrelationMatri
     stays Hermitian for any phase.
     """
     _check_order_xi(m, xi)
-    base = xi * np.exp(1j * np.deg2rad(delta_phase_deg))
-    row = base ** np.arange(m)
+    return CorrelationMatrix(_hermitian_toeplitz(_clerckx_row(m, xi, delta_phase_deg).conj()))
+
+
+def _clerckx_row(m, xi, delta_phase_deg):
+    """First row of :func:`build_clerckx`: (xi * e^{j delta})^k at lag k."""
+    row = (xi * np.exp(1j * np.deg2rad(delta_phase_deg))) ** np.arange(m)
     row[0] = 1.0
-    return CorrelationMatrix(_hermitian_toeplitz(row.conj()))
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +320,14 @@ def average_correlation(rs) -> tuple:
         rbar += r.entries
     if rbar is None:
         raise DimensionMismatchError("need at least one correlation matrix")
-    m = len(rbar)
     rbar /= count
+    return rbar, _trace_sq(rbar)
+
+
+def _trace_sq(rbar) -> float:
+    """Tr[Rbar^2] by the two routes of :func:`average_correlation`, checked
+    against each other."""
+    m = len(rbar)
     upper = rbar[np.triu_indices(m, k=1)]
     trace_sq = m + 2.0 * float(np.sum(np.abs(upper) ** 2))
     direct = float(np.einsum("ij,ji->", rbar, rbar).real)
@@ -325,4 +335,25 @@ def average_correlation(rs) -> tuple:
         raise CorrDivError(
             f"Tr[Rbar^2] routes disagree: product {direct!r} vs identity {trace_sq!r}"
         )
-    return rbar, trace_sq
+    return trace_sq
+
+
+def average_clerckx(m: int, xi: float, deltas) -> tuple:
+    """:func:`average_correlation` over ``[build_clerckx(m, xi, d) for d in
+    deltas]`` without building those matrices; ``deltas`` is a sequence.
+
+    Every Clerckx matrix is Hermitian Toeplitz, so their entrywise sum is the
+    Toeplitz matrix of their first rows summed in the same order: the mean
+    equals :func:`average_correlation`'s entry for entry, up to the sign of a
+    zero, and its trace bit for bit. The mean is returned as an array: its
+    diagonal, L / L in complex arithmetic, need not be exactly 1.
+    """
+    _check_order_xi(m, xi)
+    if len(deltas) == 0:
+        raise DimensionMismatchError("need at least one correlation matrix")
+    total = np.zeros(m, np.complex128)
+    for d in deltas:
+        total += _clerckx_row(m, xi, d)
+    rbar = _hermitian_toeplitz(total.conj())
+    rbar /= len(deltas)
+    return rbar, _trace_sq(rbar)

@@ -22,7 +22,6 @@ baseline, the reference configuration ``_REFERENCE`` under its geometry.
 """
 
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -33,8 +32,8 @@ import numpy as np
 from . import kernels
 from .corrmodels import (
     CorrelationModelSpec,
+    average_clerckx,
     average_correlation,
-    build_clerckx,
     build_exponential,
     build_one_ring,
     factor,
@@ -53,6 +52,10 @@ from .zfcore import (
     expected_sum_se_closed_form,
     expected_zf_snr_closed_form,
 )
+
+# no longer called here, kept in this namespace because bench/trace_cli.py
+# wraps it here
+from .corrmodels import build_clerckx  # noqa: F401
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
@@ -230,7 +233,7 @@ def _terminal_profiles(scenario: Scenario, rng):
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
         deltas = [float(rng.uniform(lo, hi)) for _ in range(n)]
-        _, trace_sq = average_correlation(build_clerckx(m, model.xi, d) for d in deltas)
+        _, trace_sq = average_clerckx(m, model.xi, deltas)
         _, bh = _exponential_profile(m, model.xi)
         # R = D^H T D with T exponential and D = diag(e^{j delta i}), so
         # B^H = B_T^H D is the shared factor with its columns phase-ramped
@@ -480,13 +483,26 @@ def _at_attenuation(scenario: Scenario, constant: float) -> Scenario:
     return replace(scenario, geometry=replace(scenario.geometry, attenuation_constant=constant))
 
 
-def _one_blas_thread():
-    """Pool initializer: cap numpy's bundled OpenBLAS at one thread, so pool
-    workers do not each run a full BLAS thread pool on the same cores. Does
-    nothing when numpy links another BLAS."""
+def _set_blas_threads(n):
+    """Set numpy's bundled OpenBLAS to ``n`` threads and return the count it
+    had. With another BLAS, does nothing and returns None, which as ``n``
+    does nothing either.
+
+    A pass runs thousands of small matrix products, between which a second
+    OpenBLAS thread only spins, so the in-process pass and every pool worker
+    run on one.
+    """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in libs.glob("libscipy_openblas64_*.so"):
-        ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
+        blas = ctypes.CDLL(str(lib))
+        blas.scipy_openblas_get_num_threads64_.argtypes = []
+        blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        blas.scipy_openblas_set_num_threads64_.restype = None
+        previous = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(n)
+        return previous
+    return None
 
 
 def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
@@ -494,10 +510,12 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
     result per scenario.
 
     The outer loop runs over drops, in-process or one pool task per drop on
-    at most ``n_drops`` workers, each capped at one BLAS thread. Each drop
-    draws its fading once per (seed, n_fading, L, M) and its kernel
-    statistics once per correlation model, and frees both before the next
-    drop. The attenuation constant, rho_t and sigma2 enter only when the
+    at most ``n_drops`` workers. Either way drops run on one BLAS thread: an
+    in-process pass restores the caller's thread count when it ends, also
+    when it raises, and a pooled pass leaves the main process's count as it
+    is. Each drop draws its fading once per (seed, n_fading, L, M) and its
+    kernel statistics once per correlation model, and frees both before the
+    next drop. The attenuation constant, rho_t and sigma2 enter only when the
     drops are aggregated, so every result is bit-identical to a separate
     ``run_scenario`` call, for any worker count.
 
@@ -525,9 +543,21 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
     advising = _advise_huge_pages(False)  # forked pool workers inherit it
     try:
         if workers <= 1:
-            per_drop = map(_draw_drops, tasks, range(n_drops))
+            threads = _set_blas_threads(1)
+            try:
+                per_drop = list(map(_draw_drops, tasks, range(n_drops)))
+            finally:
+                _set_blas_threads(threads)
         else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            # imported here: multiprocessing adds 12-17 ms to every CLI start.
+            # The main process's BLAS count is never raised around the pool:
+            # OpenBLAS stops its threads at fork, and raising the count after
+            # it starts a thread that spins until the process exits
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+            ) as pool:
                 per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
         outcomes = [list(column) for column in zip(*per_drop)]
     finally:

@@ -611,3 +611,16 @@ class TestTracedRun:
         assert traced["exit_code"] == 0
         names = {span[0] for span in traced["spans"]}
         assert {"cli.cmd", "cli.parse", "kernels.gram"} <= names
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the process pool's modules load with the first pooled pass, not at start-up
+    src = str(Path(corrdiv.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import corrdiv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

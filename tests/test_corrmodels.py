@@ -20,7 +20,7 @@ from corrdiv import (
     build_one_ring,
     factor,
 )
-from corrdiv.corrmodels import PSD_FLOOR, _one_ring_lags
+from corrdiv.corrmodels import PSD_FLOOR, _one_ring_lags, average_clerckx
 from corrdiv.errors import DimensionMismatchError
 from corrdiv.propagation import MeasuredAngularModel, draw_truncated_spread
 
@@ -286,6 +286,23 @@ def test_average_correlation_reads_any_iterable():
         average_correlation(r for r in [])
     with pytest.raises(DimensionMismatchError):
         average_correlation(build_exponential(m, 0.5) for m in (3, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "m, l, xi",
+    [(64, 49, 0.9), (64, 49, 0.0), (64, 49, 1.0), (7, 1, 0.3), (256, 64, 0.99), (1, 1, 0.5)],
+)
+def test_average_clerckx_matches_built_matrices(m, l, xi):
+    # the mean is equal entry for entry (a zero may differ in sign) and the
+    # trace bit for bit; at L=49 the mean's diagonal is not exactly 1
+    deltas = [float(d) for d in np.random.default_rng(m + l).uniform(-180, 180, size=l)]
+    rbar, tsq = average_clerckx(m, xi, deltas)
+    want_rbar, want_tsq = average_correlation(build_clerckx(m, xi, d) for d in deltas)
+    np.testing.assert_array_equal(rbar, want_rbar)
+    assert rbar.dtype == want_rbar.dtype
+    assert np.float64(tsq).tobytes() == np.float64(want_tsq).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        average_clerckx(m, xi, [])
 
 
 def test_trace_identity_on_random_ensembles():

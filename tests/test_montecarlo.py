@@ -1,5 +1,6 @@
 """Tests for drop orchestration, aggregation, and the RNG lane discipline."""
 
+import concurrent.futures
 import ctypes
 import dataclasses
 import tracemalloc
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 
 from corrdiv import kernels, montecarlo
-from corrdiv.corrmodels import CorrelationModelSpec, build_clerckx, build_exponential
+from corrdiv.corrmodels import (
+    CorrelationModelSpec,
+    average_correlation,
+    build_clerckx,
+    build_exponential,
+)
 from corrdiv.errors import InvalidParameterError, RunFailureError
 from corrdiv.propagation import GeometryConfig
 from corrdiv.zfcore import draw_fading
@@ -382,7 +388,7 @@ class TestSharedClerckxFactor:
         clerckx = CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=(-38.0, 38.0))
         scenario = exp_scenario(m=64, l=6, model=clerckx)
         try:
-            _, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(9, 0, 1))
+            trace_sq, bh = montecarlo._terminal_profiles(scenario, montecarlo._stream(9, 0, 1))
         finally:
             montecarlo._exponential_profile.cache_clear()
         assert calls == [64]  # the one exponential eigendecomposition
@@ -390,6 +396,8 @@ class TestSharedClerckxFactor:
         # the deltas the profiles drew, re-drawn from the same lane-1 stream
         lane1 = montecarlo._stream(9, 0, 1)
         deltas = [float(lane1.uniform(-38.0, 38.0)) for _ in range(6)]
+        _, want = average_correlation([build_clerckx(64, 0.9, d) for d in deltas])
+        assert trace_sq == want
         for b, delta in zip(bh, deltas):
             want = build_clerckx(64, 0.9, delta).entries
             assert np.max(np.abs(b.conj().T @ b - want)) <= 1e-12
@@ -430,12 +438,8 @@ class TestRunScenario:
         assert_same_drops(serial, pooled)
 
     def test_blas_thread_count_does_not_change_results(self):
-        # numpy's bundled OpenBLAS sets its pool size in-process
-        libs = Path(np.__file__).parent.parent / "numpy.libs"
-        found = sorted(libs.glob("libscipy_openblas64_*.so"))
-        if not found:
-            pytest.skip("numpy does not bundle scipy-openblas64")
-        blas = ctypes.CDLL(str(found[0]))
+        # run_scenarios pins one BLAS thread, so the drops are drawn without it
+        blas = bundled_openblas()
         default = blas.scipy_openblas_get_num_threads64_()
         one_ring = Scenario(
             m=128,
@@ -450,7 +454,7 @@ class TestRunScenario:
         try:
             for threads in (1, default):
                 blas.scipy_openblas_set_num_threads64_(threads)
-                runs.append([run_scenario(s) for s in (one_ring, clerckx)])
+                runs.append([drawn_alone(s) for s in (one_ring, clerckx)])
         finally:
             blas.scipy_openblas_set_num_threads64_(default)
         for single, pooled in zip(*runs):
@@ -526,6 +530,13 @@ def bundled_openblas():
 
 def openblas_threads():
     return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+def drawn_alone(scenario):
+    """``run_scenario`` without the pass around the drops, at the caller's
+    BLAS thread count."""
+    outcomes = [montecarlo._draw_drops([scenario], d)[0] for d in range(scenario.n_drops)]
+    return montecarlo._result(scenario, outcomes)
 
 
 def assert_same_drops(a, b):
@@ -630,8 +641,8 @@ class TestRunScenarios:
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer):
-                pools.append((max_workers, initializer))
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -642,9 +653,9 @@ class TestRunScenarios:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         (pooled,) = run_scenarios([exp_scenario(n_drops=4)], workers=5000)
-        assert pools == [(4, montecarlo._one_blas_thread)]
+        assert pools == [(4, montecarlo._set_blas_threads, (1,))]
         assert pooled.summary == run_scenario(exp_scenario(n_drops=4)).summary
         run_scenarios([exp_scenario(n_drops=1)], workers=5000)
         assert len(pools) == 1
@@ -652,10 +663,66 @@ class TestRunScenarios:
     def test_pool_workers_run_one_blas_thread(self):
         blas = bundled_openblas()
         before = blas.scipy_openblas_get_num_threads64_()
-        with ProcessPoolExecutor(max_workers=1, initializer=montecarlo._one_blas_thread) as pool:
+        with ProcessPoolExecutor(
+            max_workers=1, initializer=montecarlo._set_blas_threads, initargs=(1,)
+        ) as pool:
             assert pool.submit(openblas_threads).result() == 1
         run_scenarios([exp_scenario(n_drops=2)], workers=2)
         assert blas.scipy_openblas_get_num_threads64_() == before
+
+    def test_in_process_drops_run_one_blas_thread(self, monkeypatch):
+        # the caller's count comes back after a clean pass, a failed run
+        # and a pass that raises
+        blas = bundled_openblas()
+        default = blas.scipy_openblas_get_num_threads64_()
+        seen = []
+        real = montecarlo._draw_drops
+
+        def draw_drops(scenarios, drop_index):
+            seen.append(openblas_threads())
+            return real(scenarios, drop_index)
+
+        def broken(scenarios, drop_index):
+            raise RuntimeError("broken drop")
+
+        monkeypatch.setattr(montecarlo, "_draw_drops", draw_drops)
+        degenerate = exp_scenario(m=4, l=2, model=DEGENERATE, n_drops=1, n_fading=4, seed=3)
+        try:
+            blas.scipy_openblas_set_num_threads64_(2)
+            run_scenarios([exp_scenario(n_drops=3)])
+            assert seen == [1, 1, 1]
+            assert openblas_threads() == 2
+            with pytest.raises(RunFailureError):
+                run_scenarios([degenerate])
+            assert seen == [1, 1, 1, 1]
+            assert openblas_threads() == 2
+            monkeypatch.setattr(montecarlo, "_draw_drops", broken)
+            with pytest.raises(RuntimeError, match="broken drop"):
+                run_scenarios([exp_scenario()])
+            assert openblas_threads() == 2
+        finally:
+            blas.scipy_openblas_set_num_threads64_(default)
+
+    def test_pooled_pass_leaves_the_main_process_thread_count(self, monkeypatch):
+        # OpenBLAS stops its threads at fork; raising the count again after
+        # the pool would start a thread that spins until the process exits.
+        # Forked workers record their own calls in their own copy of ``calls``
+        before = openblas_threads()
+        calls = []
+        real = montecarlo._set_blas_threads
+
+        def set_blas_threads(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(montecarlo, "_set_blas_threads", set_blas_threads)
+        (pooled,) = run_scenarios([exp_scenario(n_drops=2)], workers=2)
+        assert calls == []
+        assert openblas_threads() == before
+        # the in-process pass calls it twice
+        (alone,) = run_scenarios([exp_scenario(n_drops=2)])
+        assert calls == [1, before]
+        assert pooled.summary == alone.summary
 
     def test_drops_trim_the_heap_without_huge_page_advice(self, monkeypatch):
         # each trim records whether numpy advises huge pages at that moment
