@@ -1,87 +1,64 @@
-"""Correlation-diversity Monte Carlo engine for downlink zero-forcing MU-MIMO."""
+"""Correlation-diversity Monte Carlo engine for downlink zero-forcing MU-MIMO.
 
-from .corrmodels import (
-    CorrelationMatrix,
-    CorrelationModelSpec,
-    average_correlation,
-    build_clerckx,
-    build_exponential,
-    build_one_ring,
-    factor,
-)
-from .errors import (
-    CorrDivError,
-    DimensionMismatchError,
-    IllConditionedChannelError,
-    IndefiniteMatrixError,
-    InvalidParameterError,
-    QuadratureNonconvergenceError,
-    RunFailureError,
-    ScenarioError,
-)
-from .kernels import gram_eta_stats
-from .montecarlo import (
-    DropResult,
-    Scenario,
-    ScenarioResult,
-    calibrate_attenuation_constant,
-    pooled_expected_snr_db,
-    pooled_instantaneous_snr_db,
-    run_drop,
-    run_scenario,
-    run_scenarios,
-)
-from .propagation import (
-    GeometryConfig,
-    MeasuredAngularModel,
-    sample_link_gain,
-    sample_terminal_geometry,
-)
-from .zfcore import (
-    draw_fading,
-    expected_sum_se_closed_form,
-    expected_zf_snr_closed_form,
-    moment_trace_gram_squared,
-    neumann_trace_inverse,
-    zf_eta_exact,
-)
+The public names load from their submodules on first use, so importing the
+package loads no numpy: the command line sets numpy's BLAS threading before
+numpy loads (see ``corrdiv.cli``).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrDivError",
-    "CorrelationMatrix",
-    "CorrelationModelSpec",
-    "DimensionMismatchError",
-    "DropResult",
-    "GeometryConfig",
-    "IllConditionedChannelError",
-    "IndefiniteMatrixError",
-    "InvalidParameterError",
-    "MeasuredAngularModel",
-    "QuadratureNonconvergenceError",
-    "RunFailureError",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioResult",
-    "average_correlation",
-    "build_clerckx",
-    "build_exponential",
-    "build_one_ring",
-    "calibrate_attenuation_constant",
-    "draw_fading",
-    "expected_sum_se_closed_form",
-    "expected_zf_snr_closed_form",
-    "factor",
-    "gram_eta_stats",
-    "moment_trace_gram_squared",
-    "neumann_trace_inverse",
-    "pooled_expected_snr_db",
-    "pooled_instantaneous_snr_db",
-    "run_drop",
-    "run_scenario",
-    "run_scenarios",
-    "sample_link_gain",
-    "sample_terminal_geometry",
-    "zf_eta_exact",
-]
+# each public name and the submodule that defines it
+_EXPORTS = {
+    "CorrDivError": "errors",
+    "CorrelationMatrix": "corrmodels",
+    "CorrelationModelSpec": "corrmodels",
+    "DimensionMismatchError": "errors",
+    "DropResult": "montecarlo",
+    "GeometryConfig": "propagation",
+    "IllConditionedChannelError": "errors",
+    "IndefiniteMatrixError": "errors",
+    "InvalidParameterError": "errors",
+    "MeasuredAngularModel": "propagation",
+    "QuadratureNonconvergenceError": "errors",
+    "RunFailureError": "errors",
+    "Scenario": "montecarlo",
+    "ScenarioError": "errors",
+    "ScenarioResult": "montecarlo",
+    "average_correlation": "corrmodels",
+    "build_clerckx": "corrmodels",
+    "build_exponential": "corrmodels",
+    "build_one_ring": "corrmodels",
+    "calibrate_attenuation_constant": "montecarlo",
+    "draw_fading": "zfcore",
+    "expected_sum_se_closed_form": "zfcore",
+    "expected_zf_snr_closed_form": "zfcore",
+    "factor": "corrmodels",
+    "gram_eta_stats": "kernels",
+    "moment_trace_gram_squared": "zfcore",
+    "neumann_trace_inverse": "zfcore",
+    "pooled_expected_snr_db": "montecarlo",
+    "pooled_instantaneous_snr_db": "montecarlo",
+    "run_drop": "montecarlo",
+    "run_scenario": "montecarlo",
+    "run_scenarios": "montecarlo",
+    "sample_link_gain": "propagation",
+    "sample_terminal_geometry": "propagation",
+    "zf_eta_exact": "zfcore",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # an AttributeError lets ``from corrdiv import montecarlo`` import the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

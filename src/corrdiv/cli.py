@@ -5,10 +5,20 @@ keys are rejected and every diagnostic carries the file and line it came
 from. All tables are plain CSV with full-precision floats.
 """
 
-import argparse
-import csv
+import os
 import sys
-from dataclasses import replace
+
+# numpy's bundled OpenBLAS starts its thread pool when numpy loads, and an idle
+# pool thread spins on a core between a pass's small matrix products. Setting
+# the count to one later stops it neither in this process nor in the pool
+# workers it forks, so the command line starts OpenBLAS on one thread, unless
+# the caller exported a count or numpy is already loaded
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path
 
 import numpy as np

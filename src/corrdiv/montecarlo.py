@@ -143,6 +143,8 @@ class DropResult:
     # redraw attempts, which outnumber the rejected trials whenever one
     # trial needs several
     rejected_trials: int
+    # trials the condition screen rejected, each redrawn until it passed
+    redrawn_trials: int
     eta_cv: float
     # each trial's L / Tr[G^-1]; a terminal's instantaneous SNR is
     # rho_t beta / sigma2 times it
@@ -166,6 +168,7 @@ class _DropDraws:
     shadowing: list
     trace_sq: float
     stats: np.ndarray
+    redrawn_trials: int
     rejected_trials: int
 
 
@@ -278,7 +281,9 @@ def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
     ill-conditioned trials, with their abort rules.
 
     ``bh`` holds the terminals' lane-1 factors and ``fading`` the drop's
-    lane-2 draws, (n_fading, L, >= r_l). Returns ``(stats, rejected)``.
+    lane-2 draws, (n_fading, L, >= r_l). Returns ``(stats, trials,
+    attempts)``: the statistics, the number of trials the screen rejected and
+    the redraw attempts they took.
     """
     stats = kernels.gram_eta_stats(fading, bh)
 
@@ -309,7 +314,7 @@ def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
             f"{len(bad)} rejected trials out of {scenario.n_fading} took {rejected} "
             f"redraw attempts, more than the 5% abort threshold allows"
         )
-    return stats, rejected
+    return stats, len(bad), rejected
 
 
 def _fading_key(s: Scenario) -> tuple:
@@ -413,6 +418,7 @@ def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
         sum_se_cf_bits=sum_se_cf,
         trace_sq=trace_sq,
         rejected_trials=draws.rejected_trials,
+        redrawn_trials=draws.redrawn_trials,
         eta_cv=eta_cv,
         inv_eta=inv_eta,
     )
@@ -483,15 +489,9 @@ def _at_attenuation(scenario: Scenario, constant: float) -> Scenario:
     return replace(scenario, geometry=replace(scenario.geometry, attenuation_constant=constant))
 
 
-def _set_blas_threads(n):
-    """Set numpy's bundled OpenBLAS to ``n`` threads and return the count it
-    had. With another BLAS, does nothing and returns None, which as ``n``
-    does nothing either.
-
-    A pass runs thousands of small matrix products, between which a second
-    OpenBLAS thread only spins, so the in-process pass and every pool worker
-    run on one.
-    """
+@lru_cache(maxsize=None)
+def _openblas():
+    """numpy's bundled OpenBLAS, or None when numpy links another BLAS."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in libs.glob("libscipy_openblas64_*.so"):
         blas = ctypes.CDLL(str(lib))
@@ -499,10 +499,28 @@ def _set_blas_threads(n):
         blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
         blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
         blas.scipy_openblas_set_num_threads64_.restype = None
-        previous = blas.scipy_openblas_get_num_threads64_()
-        blas.scipy_openblas_set_num_threads64_(n)
-        return previous
+        return blas
     return None
+
+
+def _set_blas_threads(n):
+    """Set numpy's bundled OpenBLAS to ``n`` threads and return the count it
+    had. With another BLAS, does nothing and returns None, which as ``n``
+    does nothing either.
+
+    A pass runs thousands of small matrix products, between which a second
+    OpenBLAS thread only spins, so the in-process pass and every pool worker
+    run on one. Lowering the count does not stop a pool thread OpenBLAS
+    started when numpy loaded, in this process or in a forked worker; the
+    command line therefore starts OpenBLAS on one thread before numpy loads,
+    and this serves library callers that loaded numpy first.
+    """
+    blas = _openblas()
+    if blas is None:
+        return None
+    previous = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(n)
+    return previous
 
 
 def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import corrdiv
-from corrdiv import cli
+from corrdiv import cli, montecarlo
 from corrdiv.cli import _build_arg_parser, load_scenario_file, main, scenario_to_dict
 from corrdiv.montecarlo import RNG_CONTRACT, pooled_expected_snr_db, run_scenarios
 
@@ -46,18 +46,34 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+def package_env(**overrides):
+    """This process's environment with the package on PYTHONPATH."""
+    paths = [str(Path(corrdiv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **overrides)
+
+
+def fresh_interpreter(code, **env):
+    """Standard output of ``python -c code``, stripped, in an interpreter
+    that inherits no BLAS thread count unless ``env`` sets one."""
+    child = package_env(**env)
+    for name in {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} - set(env):
+        child.pop(name, None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child
+    )
+    return out.stdout.strip()
+
+
 def run_in_subprocess(scenario, out, timeout=60, command=("-m", "corrdiv.cli")):
     """``corrdiv run`` in a fresh interpreter, started as ``python <command> run
     ...``; past ``timeout`` seconds the test fails."""
-    paths = [str(Path(corrdiv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     args = ["run", "--scenario", str(scenario), "--out", str(out)]
     return subprocess.run(
         [sys.executable, *command, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=package_env(),
     )
 
 
@@ -613,14 +629,68 @@ class TestTracedRun:
         assert {"cli.cmd", "cli.parse", "kernels.gram"} <= names
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    # the process pool's modules load with the first pooled pass, not at start-up
-    src = str(Path(corrdiv.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import corrdiv.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+def blas_threads_observable():
+    """Whether a fresh interpreter's BLAS pool shows: Linux, numpy's bundled
+    OpenBLAS and more than one core."""
+    return (
+        sys.platform.startswith("linux")
+        and montecarlo._openblas() is not None
+        and len(os.sched_getaffinity(0)) > 1
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+
+
+# prints the interpreter's thread count and the bundled OpenBLAS's
+THREADS = (
+    "import os; from corrdiv import montecarlo; "
+    "print(len(os.listdir('/proc/self/task')), "
+    "montecarlo._openblas().scipy_openblas_get_num_threads64_())"
+)
+
+
+@pytest.mark.parametrize(
+    "code, expected, env, threads",
+    [
+        # scipy serves only the tests
+        pytest.param(
+            "import sys, corrdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "[]",
+            {},
+            False,
+            id="cli-loads-no-scipy",
+        ),
+        # the process pool's modules load with the first pooled pass
+        pytest.param(
+            "import sys, corrdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))",
+            "[]",
+            {},
+            False,
+            id="cli-loads-no-multiprocessing",
+        ),
+        # the package's names load on first use, so the command line can set
+        # BLAS threading before numpy loads, and a library import sets nothing
+        pytest.param(
+            "import os, sys; before = dict(os.environ); import corrdiv; "
+            "print('numpy' in sys.modules, dict(os.environ) == before)",
+            "False True",
+            {},
+            False,
+            id="package-loads-no-numpy",
+        ),
+        pytest.param(
+            "import corrdiv.cli; " + THREADS, "1 1", {}, True, id="cli-starts-one-blas-thread"
+        ),
+        pytest.param(
+            "import corrdiv.cli; " + THREADS,
+            "2 2",
+            {"OPENBLAS_NUM_THREADS": "2"},
+            True,
+            id="exported-blas-threads-win",
+        ),
+    ],
+)
+def test_fresh_interpreter_import(code, expected, env, threads):
+    if threads and not blas_threads_observable():
+        pytest.skip("needs Linux, numpy's bundled OpenBLAS and two cores")
+    assert fresh_interpreter(code, **env) == expected

@@ -1,13 +1,9 @@
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import corrdiv
 from corrdiv import (
     CorrelationMatrix,
     CorrelationModelSpec,
@@ -364,18 +360,6 @@ def test_toeplitz_builds_match_scipy_exactly():
         assert np.array_equal(build_clerckx(m, 0.9, 27.3).entries, toeplitz(row.conj(), row))
         ring = build_one_ring(m, 14.02, 33.0).entries
         assert np.array_equal(ring, toeplitz(ring[:, 0], ring[:, 0].conj()))
-
-
-def test_cli_import_does_not_load_scipy():
-    src = str(Path(corrdiv.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import corrdiv.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,10 @@
 """Tests for drop orchestration, aggregation, and the RNG lane discipline."""
 
 import concurrent.futures
-import ctypes
 import dataclasses
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +202,25 @@ class TestRunDrop:
         monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0,)}))
         b = run_drop(exp_scenario(n_fading=32), 0)
         assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
+
+    def test_rejected_trials_count_apart_from_redraw_attempts(self, monkeypatch):
+        # trial 4 fails the screen and so do its first two redraws: one
+        # rejected trial takes three attempts, under 5% of 100 trials
+        real = kernels.conditioned
+        verdicts = iter([False, False, True])
+
+        def conditioned(stats):
+            mask = real(stats)
+            if len(stats) > 1:
+                mask[4] = False
+            else:
+                mask[0] = next(verdicts)
+            return mask
+
+        monkeypatch.setattr(kernels, "conditioned", conditioned)
+        drop = run_drop(exp_scenario(n_fading=100), 0)
+        assert (drop.redrawn_trials, drop.rejected_trials) == (1, 3)
+        assert next(verdicts, None) is None
 
     def test_excess_rejections_abort_drop(self, monkeypatch):
         # trials 0 and 1 fail the screen, their first redraws pass:
@@ -438,7 +455,8 @@ class TestRunScenario:
         assert_same_drops(serial, pooled)
 
     def test_blas_thread_count_does_not_change_results(self):
-        # run_scenarios pins one BLAS thread, so the drops are drawn without it
+        # run_scenarios pins one BLAS thread, so the drops are drawn without
+        # it, at one thread and at two whatever count the process started with
         blas = bundled_openblas()
         default = blas.scipy_openblas_get_num_threads64_()
         one_ring = Scenario(
@@ -452,7 +470,7 @@ class TestRunScenario:
         clerckx = Scenario(m=64, l=6, model=CLERCKX, n_drops=2, n_fading=300, seed=21)
         runs = []
         try:
-            for threads in (1, default):
+            for threads in (1, 2):
                 blas.scipy_openblas_set_num_threads64_(threads)
                 runs.append([drawn_alone(s) for s in (one_ring, clerckx)])
         finally:
@@ -521,11 +539,10 @@ CLERCKX = CorrelationModelSpec(variant="clerckx", xi=0.6, phase_range_deg=(0.0, 
 
 
 def bundled_openblas():
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    if not found:
+    blas = montecarlo._openblas()
+    if blas is None:
         pytest.skip("numpy does not bundle scipy-openblas64")
-    return ctypes.CDLL(str(found[0]))
+    return blas
 
 
 def openblas_threads():
