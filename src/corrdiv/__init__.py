@@ -17,7 +17,6 @@ _EXPORTS = {
     "DimensionMismatchError": "errors",
     "DropResult": "montecarlo",
     "GeometryConfig": "propagation",
-    "IllConditionedChannelError": "errors",
     "IndefiniteMatrixError": "errors",
     "InvalidParameterError": "errors",
     "MeasuredAngularModel": "propagation",
@@ -30,22 +29,13 @@ _EXPORTS = {
     "build_clerckx": "corrmodels",
     "build_exponential": "corrmodels",
     "build_one_ring": "corrmodels",
-    "calibrate_attenuation_constant": "montecarlo",
-    "draw_fading": "zfcore",
     "expected_sum_se_closed_form": "zfcore",
     "expected_zf_snr_closed_form": "zfcore",
     "factor": "corrmodels",
-    "gram_eta_stats": "kernels",
-    "moment_trace_gram_squared": "zfcore",
-    "neumann_trace_inverse": "zfcore",
     "pooled_expected_snr_db": "montecarlo",
     "pooled_instantaneous_snr_db": "montecarlo",
-    "run_drop": "montecarlo",
     "run_scenario": "montecarlo",
     "run_scenarios": "montecarlo",
-    "sample_link_gain": "propagation",
-    "sample_terminal_geometry": "propagation",
-    "zf_eta_exact": "zfcore",
 }
 
 __all__ = sorted(_EXPORTS)

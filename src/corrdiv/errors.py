@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 
 
 class CorrDivError(Exception):
@@ -21,8 +22,11 @@ class InvalidParameterError(CorrDivError):
 
 
 def require_finite(**values):
-    """Raise ``InvalidParameterError`` naming the first non-finite value."""
+    """Raise ``InvalidParameterError`` naming the first value that is not a
+    finite real number; a bool is not one."""
     for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameterError(f"{name} must be a real number, got {value!r}", field=name)
         if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value}", field=name)
 
@@ -38,10 +42,6 @@ class IndefiniteMatrixError(CorrDivError):
 
 class QuadratureNonconvergenceError(CorrDivError):
     """Node doubling hit its cap without the integral stabilizing."""
-
-
-class IllConditionedChannelError(CorrDivError):
-    """Gram matrix condition number exceeds the rejection threshold."""
 
 
 class ScenarioError(CorrDivError):

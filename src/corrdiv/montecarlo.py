@@ -22,6 +22,8 @@ baseline, the reference configuration ``_REFERENCE`` under its geometry.
 """
 
 import ctypes
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -96,6 +98,11 @@ class Scenario:
     radial_law: str = "area"
 
     def __post_init__(self):
+        for name in ("m", "l", "n_drops", "n_fading", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}", field=name)
+            object.__setattr__(self, name, operator.index(value))
         require_finite(rho_t_db=self.rho_t_db, sigma2=self.sigma2)
         if self.m < 1 or self.l < 1 or self.l > self.m:
             raise InvalidParameterError(

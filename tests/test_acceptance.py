@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from closed_form_variants import l_scaled_zf_snr
+from closed_form_variants import l_scaled_zf_snr, moment_trace_gram_squared
 
 from corrdiv.cli import main as cli_main
 from corrdiv.corrmodels import (
@@ -32,11 +32,7 @@ from corrdiv.montecarlo import (
     run_scenarios,
 )
 from corrdiv.propagation import GeometryConfig
-from corrdiv.zfcore import (
-    draw_fading,
-    expected_zf_snr_closed_form,
-    moment_trace_gram_squared,
-)
+from corrdiv.zfcore import draw_fading, expected_zf_snr_closed_form
 
 M, L = 64, 6
 XI = 0.9

@@ -4,6 +4,7 @@ subprocess with a timeout, where a regression would hang."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -694,3 +695,83 @@ def test_fresh_interpreter_import(code, expected, env, threads):
     if threads and not blas_threads_observable():
         pytest.skip("needs Linux, numpy's bundled OpenBLAS and two cores")
     assert fresh_interpreter(code, **env) == expected
+
+
+class TestPackageSurface:
+    """The package root exports what README's "Library use" documents."""
+
+    EXPORTS = {
+        "CorrDivError",
+        "DimensionMismatchError",
+        "IndefiniteMatrixError",
+        "InvalidParameterError",
+        "QuadratureNonconvergenceError",
+        "RunFailureError",
+        "ScenarioError",
+        "Scenario",
+        "ScenarioResult",
+        "DropResult",
+        "CorrelationModelSpec",
+        "CorrelationMatrix",
+        "GeometryConfig",
+        "MeasuredAngularModel",
+        "run_scenarios",
+        "run_scenario",
+        "pooled_expected_snr_db",
+        "pooled_instantaneous_snr_db",
+        "build_exponential",
+        "build_clerckx",
+        "build_one_ring",
+        "factor",
+        "average_correlation",
+        "expected_zf_snr_closed_form",
+        "expected_sum_se_closed_form",
+    }
+    # no longer at the root: each lives in its module or in tests/, or is deleted
+    MODULE_ONLY = [
+        "run_drop",
+        "calibrate_attenuation_constant",
+        "draw_fading",
+        "gram_eta_stats",
+        "sample_link_gain",
+        "sample_terminal_geometry",
+        "neumann_trace_inverse",
+        "moment_trace_gram_squared",
+        "zf_eta_exact",
+        "IllConditionedChannelError",
+    ]
+
+    def test_every_export_resolves(self):
+        code = (
+            "import corrdiv; "
+            "print(all(getattr(corrdiv, name) is not None for name in corrdiv.__all__)); "
+            "print(*corrdiv.__all__)"
+        )
+        resolved, names = fresh_interpreter(code).splitlines()
+        assert resolved == "True"
+        assert names.split() == sorted(self.EXPORTS)
+
+    def test_module_only_names_are_not_exported(self):
+        code = f"import corrdiv; print(*(hasattr(corrdiv, n) for n in {self.MODULE_ONLY!r}))"
+        assert fresh_interpreter(code).split() == ["False"] * len(self.MODULE_ONLY)
+
+    def test_readme_library_use_names_every_export(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        missing = [name for name in self.EXPORTS if not re.search(rf"`{name}\b", section)]
+        assert missing == []
+
+
+def test_kernel_benchmark_script_runs():
+    # benchmarks/bench_kernels.py reaches into montecarlo's private profile cache
+    script = ROOT / "benchmarks" / "bench_kernels.py"
+    args = ["--m", "16", "--l", "4", "--trials", "16", "--reps", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ms per batch" in proc.stdout

@@ -381,6 +381,23 @@ def test_model_spec_rejects_non_finite_values(kwargs):
         CorrelationModelSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"variant": "exponential", "xi": "0.5"}, "xi"),
+        ({"variant": "exponential", "xi": None}, "xi"),
+        ({"variant": "exponential", "xi": True}, "xi"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": ("0", 38.0)}, "phase_range_low_deg"),
+        ({"variant": "one_ring", "angular_spread_deg": None}, "angular_spread_deg"),
+        ({"variant": "one_ring", "spacing_wavelengths": "0.5"}, "spacing_wavelengths"),
+    ],
+)
+def test_model_spec_rejects_non_real_values(kwargs, field):
+    with pytest.raises(InvalidParameterError, match="real number") as raised:
+        CorrelationModelSpec(**kwargs)
+    assert raised.value.field == field
+
+
 def test_model_spec_keeps_phase_range_as_a_pair():
     spec = CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=[0.0, 38.0])
     assert spec.phase_range_deg == (0.0, 38.0)

@@ -78,6 +78,21 @@ class TestScenarioValidation:
         with pytest.raises(InvalidParameterError):
             exp_scenario(seed=2**64)
 
+    @pytest.mark.parametrize("field", ["m", "l", "n_drops", "n_fading", "seed"])
+    @pytest.mark.parametrize("value", [2.0, True, "2", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(InvalidParameterError) as raised:
+            exp_scenario(**{field: value})
+        assert raised.value.field == field
+
+    def test_stores_numpy_integers_as_int(self):
+        scenario = exp_scenario(
+            m=np.int64(8), l=np.int32(2), n_drops=np.uint8(2), seed=np.uint64(2**63)
+        )
+        assert scenario == exp_scenario(seed=2**63)
+        for name in ("m", "l", "n_drops", "n_fading", "seed"):
+            assert type(getattr(scenario, name)) is int
+
     def test_rejects_nonpositive_noise_power(self):
         with pytest.raises(InvalidParameterError):
             exp_scenario(sigma2=0.0)

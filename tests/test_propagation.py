@@ -10,15 +10,16 @@ from corrdiv import (
     MeasuredAngularModel,
     RunFailureError,
     Scenario,
-    calibrate_attenuation_constant,
     pooled_instantaneous_snr_db,
     run_scenario,
+)
+from corrdiv import montecarlo, propagation
+from corrdiv.montecarlo import calibrate_attenuation_constant, calibration_baseline
+from corrdiv.propagation import (
+    draw_truncated_spread,
     sample_link_gain,
     sample_terminal_geometry,
 )
-from corrdiv import montecarlo, propagation
-from corrdiv.montecarlo import calibration_baseline
-from corrdiv.propagation import draw_truncated_spread
 
 
 def rng(seed=0):
@@ -67,6 +68,22 @@ class TestGeometryConfig:
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(InvalidParameterError, match="finite"):
             GeometryConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cell_radius_m",
+            "reference_distance_m",
+            "attenuation_exponent",
+            "shadowing_std_db",
+            "attenuation_constant",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["500", None, True])
+    def test_rejects_non_real_values(self, field, value):
+        with pytest.raises(InvalidParameterError, match="real number") as raised:
+            GeometryConfig(**{field: value})
+        assert raised.value.field == field
 
 
 class TestTerminalGeometry:

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
-from closed_form_variants import l_scaled_zf_snr
+from closed_form_variants import (
+    l_scaled_zf_snr,
+    moment_trace_gram_squared,
+    neumann_trace_inverse,
+)
 
 from corrdiv import (
     CorrelationModelSpec,
-    IllConditionedChannelError,
     InvalidParameterError,
     build_clerckx,
     build_exponential,
     build_one_ring,
-    draw_fading,
     expected_sum_se_closed_form,
     expected_zf_snr_closed_form,
     factor,
-    moment_trace_gram_squared,
-    neumann_trace_inverse,
-    zf_eta_exact,
 )
 from corrdiv import kernels, montecarlo
+from corrdiv.montecarlo import run_drop
+from corrdiv.zfcore import draw_fading
 
 
 def rng(seed=0):
@@ -31,6 +32,11 @@ def iid_block(generator, l, m, n_trials):
 
 def iid_channel(generator, l, m):
     return iid_block(generator, l, m, n_trials=1)[0]
+
+
+def eta(h):
+    """eta = Tr[(HH^H)^-1] / L of one (L, M) channel, from the Gram kernel."""
+    return kernels.gram_stats(h[np.newaxis])[0, 0] / len(h)
 
 
 class TestDrawFading:
@@ -117,47 +123,34 @@ class TestSampleChannel:
         h = kernels.channels(iid_block(ZeroStream(), 2, 3, 1), bh)
         assert np.all(h == 0)
 
-    def test_rejects_more_terminals_than_antennas(self):
-        with pytest.raises(InvalidParameterError, match="L <= M"):
-            zf_eta_exact(np.ones((3, 2), dtype=np.complex128))
-
 
 class TestEtaExact:
     def test_orthogonal_rows(self):
         # rows scaled so HH^H = M I
         m, l = 4, 2
         h = np.sqrt(m) * np.eye(l, m, dtype=np.complex128)
-        assert zf_eta_exact(h) == pytest.approx(1.0 / m)
+        assert eta(h) == pytest.approx(1.0 / m)
 
     def test_scalar_case(self):
         h = np.array([[1.0 + 0j, 1.0]])
-        assert zf_eta_exact(h) == pytest.approx(0.5)
+        assert eta(h) == pytest.approx(0.5)
 
     def test_matches_cofactor_inverse_oracle(self):
         h = iid_channel(rng(3), 2, 4)
         g = h @ h.conj().T
         a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
         trace_inv = ((d + a) / (a * d - b * c)).real
-        assert zf_eta_exact(h) == pytest.approx(trace_inv / 2, rel=1e-12)
+        assert eta(h) == pytest.approx(trace_inv / 2, rel=1e-12)
 
     def test_scaling_law(self):
         h = iid_channel(rng(4), 3, 8)
         scaled = 2.0 * h
-        assert zf_eta_exact(scaled) == pytest.approx(zf_eta_exact(h) / 4.0, rel=1e-12)
-
-    def test_ill_conditioned_raises(self):
-        e = np.ones((2, 4), dtype=np.complex128)  # identical rows, singular Gram
-        with pytest.raises(IllConditionedChannelError):
-            zf_eta_exact(e)
+        assert eta(scaled) == pytest.approx(eta(h) / 4.0, rel=1e-12)
 
     def test_iid_wishart_trace_oracle(self):
         # E{Tr[(HH^H)^-1]} = L/(M-L) exactly for iid complex Gaussian H
         m, l, n = 64, 6, 2000
-        g = rng(6)
-        traces = []
-        for _ in range(n):
-            h = iid_channel(g, l, m)
-            traces.append(zf_eta_exact(h) * l)
+        traces = kernels.gram_stats(iid_block(rng(6), l, m, n))[:, 0]
         expected = l / (m - l)
         assert np.mean(traces) == pytest.approx(expected, rel=0.02)
 
@@ -184,7 +177,7 @@ class TestNeumann:
         errors = []
         for _ in range(20):
             h = iid_channel(g, 6, 64)
-            exact = zf_eta_exact(h) * 6
+            exact = eta(h) * 6
             errors.append(abs(neumann_trace_inverse(h, 2) - exact) / exact)
         assert np.median(errors) < 0.05
 
@@ -194,7 +187,7 @@ class TestNeumann:
         n = 200
         for _ in range(n):
             h = iid_channel(g, 6, 64)
-            exact = zf_eta_exact(h) * 6
+            exact = eta(h) * 6
             e1 = abs(neumann_trace_inverse(h, 1) - exact)
             e2 = abs(neumann_trace_inverse(h, 2) - exact)
             wins += e2 <= e1
@@ -310,7 +303,7 @@ def test_identical_profile_lower_bound_on_closed_form():
 def test_sum_se_closed_form_tracks_simulation_at_scale():
     # larger configuration: expected sum SE from the closed form stays within
     # a 1 dB-equivalent of the Monte Carlo average
-    from corrdiv import CorrelationModelSpec, Scenario, run_drop
+    from corrdiv import Scenario
 
     spec = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
     scenario = Scenario(m=128, l=10, model=spec, n_drops=8, n_fading=200, seed=99)
