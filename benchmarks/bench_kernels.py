@@ -8,12 +8,15 @@ profile's cached read-only factor through a broadcast view, and the fading
 is a strided view of per-terminal draws. The kernel runs on one BLAS thread,
 as a pass does. A warmup call is excluded from the timing loop; the median
 repetition is reported, after the BLAS thread count and the number and size
-of the kernel chunks it runs.
+of the kernel chunks it runs, and then the peak memory one call allocates
+(``tracemalloc``, which numpy reports its arrays to), traced apart from the
+timed calls.
 """
 
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -39,6 +42,16 @@ def time_kernel(w, bh, reps):
     return statistics.median(times)
 
 
+def traced_peak(w, bh):
+    """Peak bytes one kernel call allocates over what it was given."""
+    tracemalloc.start()
+    try:
+        kernels.gram_eta_stats(w, bh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=64, help="antenna count")
@@ -58,6 +71,7 @@ def main():
     median = time_kernel(w, bh, args.reps)
     per_trial_us = 1e6 * median / args.trials
     print(f"{median * 1e3:8.2f} ms per batch  ({per_trial_us:7.2f} us per trial)")
+    print(f"{traced_peak(w, bh) / 2**20:8.2f} MB traced peak allocation per batch")
 
 
 if __name__ == "__main__":

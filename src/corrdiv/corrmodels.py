@@ -43,7 +43,12 @@ class CorrelationMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise InvalidParameterError(f"correlation matrix must be square, got shape {e.shape}")
-        if not np.array_equal(e, e.conj().T):
+        # e == e^H entry by entry, without an M x M conjugate copy of complex e
+        if np.iscomplexobj(e):
+            hermitian = np.array_equal(e.real, e.real.T) and np.array_equal(e.imag, -e.imag.T)
+        else:
+            hermitian = np.array_equal(e, e.conj().T)
+        if not hermitian:
             raise InvalidParameterError("correlation matrix must be exactly Hermitian")
         if not np.all(e.diagonal() == 1):
             raise InvalidParameterError("correlation matrix must have a unit diagonal")
@@ -153,9 +158,10 @@ def _hermitian_toeplitz(col):
     result is exactly Hermitian whenever col[0] is real.
     """
     m = col.size
-    # full[m - 1 + k] is the entry at lag i - j = k
-    full = np.concatenate((col.conj()[:0:-1], col))
-    return full[np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)]
+    # rev[m - 1 - k] is the entry at lag i - j = k, so row i is the window
+    # rev[m - 1 - i : 2m - 1 - i]: a strided view copied out, with no index
+    rev = np.concatenate((col[::-1], col.conj()[1:]))
+    return np.lib.stride_tricks.sliding_window_view(rev, m)[::-1].copy()
 
 
 def _check_order_xi(m, xi):
@@ -273,8 +279,8 @@ def factor(r: CorrelationMatrix) -> np.ndarray:
     m = a.shape[0]
     d = a.diagonal().real.copy()
     # row k of bh is column k of C conjugated, so each update reads
-    # contiguous rows
-    bh = np.zeros((m, m), np.complex128)
+    # contiguous rows; rows past the rank are never written or read
+    bh = np.empty((m, m), np.complex128)
     k = 0
     while k < m and np.maximum(d, 0.0).sum() > _FACTOR_TOL:
         p = int(d.argmax())
@@ -289,7 +295,9 @@ def factor(r: CorrelationMatrix) -> np.ndarray:
     # a compact copy: a view would keep the whole M x M work buffer alive
     # for as long as the caller holds the factor
     bh = bh[:k].copy()
-    residual = float(np.linalg.norm(a - bh.conj().T @ bh))
+    # R - C C^H in the product's own buffer
+    approx = bh.conj().T @ bh
+    residual = float(np.linalg.norm(np.subtract(a, approx, out=approx)))
     if residual > _FACTOR_TOL + 2.0 * m * (k + 1) * np.finfo(np.float64).eps:
         raise IndefiniteMatrixError(
             f"correlation matrix is indefinite (||R - C C^H||_F = {residual:.3e} "

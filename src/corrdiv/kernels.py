@@ -4,8 +4,9 @@
 one per-terminal synthesis loop. ``gram_stats`` reduces each trial's Gram
 matrix to the trace of its inverse plus bounds on its extremal eigenvalues
 (used for condition screening). ``gram_eta_stats`` composes the two over
-fixed chunks of trials, so no whole-batch channel array exists;
-``benchmarks/bench_kernels.py`` times it.
+fixed chunks of trials, written one after another into one channel buffer,
+so no whole-batch channel array exists; ``benchmarks/bench_kernels.py``
+times it.
 """
 
 import numpy as np
@@ -20,6 +21,12 @@ COND_MAX = 1e12
 # (170 trials at M=64, L=6); ``chunk_step`` keeps at least 64 trials, below
 # which each terminal's matrix product gets too thin to pay (M=256, L=16)
 _CHUNK_BYTES = 1 << 20
+# bytes of channels ``gram_stats`` turns into Gram matrices at a time, and so
+# of the conjugate copy each product reads (85 trials at M=64, L=6; 8 at
+# M=256, L=16). There the copy and a 64-trial chunk's Gram matrices take the
+# 0.75 MiB its Cholesky stage takes after them, so a smaller copy lowers no
+# peak
+_CONJ_BYTES = 1 << 19
 
 
 def _eigen_stats(gram):
@@ -31,26 +38,39 @@ def _eigen_stats(gram):
     return np.stack([trace_inv, lam[:, 0], lam[:, -1]], axis=1)
 
 
-def channels(w: np.ndarray, bh) -> np.ndarray:
+def channels(w: np.ndarray, bh, out=None) -> np.ndarray:
     """Correlated channels ``h[t, l] = w[t, l, :r_l] @ bh[l]``, (n_trials, L, M),
-    for terminal l's (r_l, M) conjugate-transposed factor ``bh[l]``."""
-    h = np.empty(w.shape[:2] + (bh[0].shape[1],), np.complex128)
+    for terminal l's (r_l, M) conjugate-transposed factor ``bh[l]``; written
+    into ``out``, a C-contiguous complex128 array of that shape, when given."""
+    if out is None:
+        out = np.empty(w.shape[:2] + (bh[0].shape[1],), np.complex128)
     for l, b in enumerate(bh):
-        np.matmul(w[:, l, : len(b)], b, out=h[:, l, :])
-    return h
+        np.matmul(w[:, l, : len(b)], b, out=out[:, l, :])
+    return out
 
 
 def gram_stats(h: np.ndarray) -> np.ndarray:
     """Per-trial [Tr[G^-1], lam_lo, lam_hi] of G = h h^H for an (n_trials, L, M)
-    batch of channels; ``gram_eta_stats`` says what the bounds mean."""
-    gram = h @ np.conj(np.transpose(h, (0, 2, 1)))
+    batch of channels; ``gram_eta_stats`` says what the bounds mean.
+
+    The Gram matrices are built ``_CONJ_BYTES`` of channels at a time, so the
+    conjugate copy each product reads never spans the whole batch; every
+    trial's matrix is its own product either way."""
+    n_trials, n_term, m = h.shape
+    gram = np.empty((n_trials, n_term, n_term), np.complex128)
+    step = max(1, _CONJ_BYTES // (n_term * m * 16))
+    for t in range(0, n_trials, step):
+        part = h[t : t + step]
+        np.matmul(part, np.conj(np.transpose(part, (0, 2, 1))), out=gram[t : t + step])
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
         return _eigen_stats(gram)
     # Tr[G^-1] = ||L^-1||_F^2 for G = L L^H; 1/Tr[G^-1] <= lam_min and
     # lam_max <= Tr[G], so a bound ratio within COND_MAX proves the condition
-    trace_inv = np.sum(chol_inv.real**2 + chol_inv.imag**2, axis=(1, 2))
+    sq = np.square(chol_inv.real)
+    sq += np.square(chol_inv.imag)
+    trace_inv = np.sum(sq, axis=(1, 2))
     trace = np.trace(gram, axis1=1, axis2=2).real
     stats = np.stack([trace_inv, 1.0 / trace_inv, trace], axis=1)
     loose = trace * trace_inv > COND_MAX
@@ -78,7 +98,8 @@ def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
     The trials run in chunks of ``chunk_step(L, M)`` trials: as many as
     fit their (step, L, M) channels in ``_CHUNK_BYTES``, but at least 64.
     The step depends on L and M alone, so a trial's row does not depend on
-    the batch it came in.
+    the batch it came in. Every chunk's channels go into one buffer the
+    call allocates once.
 
     Parameters
     ----------
@@ -101,8 +122,10 @@ def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
     n_trials, n_term = w.shape[:2]
     step = chunk_step(n_term, m)
     stats = np.empty((n_trials, 3))
+    h = np.empty((min(step, n_trials), n_term, m), np.complex128)
     for t in range(0, n_trials, step):
-        stats[t : t + step] = gram_stats(channels(w[t : t + step], bh))
+        chunk = w[t : t + step]
+        stats[t : t + step] = gram_stats(channels(chunk, bh, out=h[: len(chunk)]))
     return stats
 
 

@@ -103,6 +103,12 @@ class Scenario:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}", field=name)
             object.__setattr__(self, name, operator.index(value))
+        for name, kind in (("model", CorrelationModelSpec), ("geometry", GeometryConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidParameterError(
+                    f"{name} must be a {kind.__name__}, got {value!r}", field=name
+                )
         require_finite(rho_t_db=self.rho_t_db, sigma2=self.sigma2)
         if self.m < 1 or self.l < 1 or self.l > self.m:
             raise InvalidParameterError(

@@ -775,3 +775,4 @@ def test_kernel_benchmark_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "ms per batch" in proc.stdout
+    assert "MB traced peak allocation per batch" in proc.stdout

@@ -16,7 +16,7 @@ from corrdiv import (
     build_one_ring,
     factor,
 )
-from corrdiv.corrmodels import PSD_FLOOR, _one_ring_lags, average_clerckx
+from corrdiv.corrmodels import PSD_FLOOR, _hermitian_toeplitz, _one_ring_lags, average_clerckx
 from corrdiv.errors import DimensionMismatchError
 from corrdiv.propagation import MeasuredAngularModel, draw_truncated_spread
 
@@ -346,6 +346,48 @@ def test_randomized_constructions_keep_invariants():
         assert np.all(r.entries.diagonal() == 1.0)
         assert np.all(np.abs(r.entries) <= 1 + 1e-9)
         assert np.linalg.eigvalsh(r.entries)[0] >= PSD_FLOOR
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.0, 0.5], [0.4, 1.0]],  # asymmetric, real
+        [[1.0, 0.5 + 0.1j], [0.4 - 0.1j, 1.0]],  # asymmetric real part
+        [[1.0, 0.5 + 0.2j], [0.5 + 0.2j, 1.0]],  # imaginary part not mirrored
+        [[1.0, complex(0.5, np.nan)], [complex(0.5, np.nan), 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, complex(0.5, -0.0)], [complex(0.5, 0.0), 1.0]],  # -0.0 == -(+0.0)
+        [[complex(1.0, -0.0), 0.5j], [-0.5j, 1.0]],  # a signed-zero diagonal
+        [[complex(1.0, 1e-3), 0.5], [0.5, 1.0]],  # a complex diagonal
+        [[1.0, 0.5], [0.5, 1.0]],
+        build_one_ring(8, 14.02, 33.0).entries.tolist(),  # genuinely Hermitian
+    ],
+)
+def test_hermitian_check_is_the_conjugate_transpose_rule(entries):
+    # the check reads real and imaginary parts apart, and must accept and
+    # reject what comparing with the conjugate transpose does
+    e = np.array(entries)
+    if np.array_equal(e, e.conj().T):
+        CorrelationMatrix(e)
+    else:
+        with pytest.raises(InvalidParameterError, match="Hermitian"):
+            CorrelationMatrix(e)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 256])
+def test_hermitian_toeplitz_equals_the_lag_index_gather(m):
+    # the strided copy takes each entry from the lag the index i - j names,
+    # bit for bit, signed zeros and NaN payloads included
+    rng = np.random.default_rng(m)
+    lags = np.subtract.outer(np.arange(m), np.arange(m)) + (m - 1)
+    complex_col = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    complex_col[-1:] = complex(np.nan, -0.0)
+    for col in (rng.standard_normal(m), complex_col, np.full(m, -0.0)):
+        full = np.concatenate((col.conj()[:0:-1], col))
+        built = _hermitian_toeplitz(col)
+        assert built.dtype == col.dtype and built.shape == (m, m)
+        assert built.flags.c_contiguous and built.flags.writeable and built.flags.owndata
+        assert built.tobytes() == full[lags].tobytes()
 
 
 def test_toeplitz_builds_match_scipy_exactly():

@@ -1,5 +1,7 @@
 """Shape checks and numerical results of the Gram-statistics kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,46 @@ class TestChunks:
         assert conditioned(rows[0]).all()
         for other in rows[1:]:
             np.testing.assert_array_equal(other, rows[0])
+
+    @pytest.mark.parametrize("l, m", [(6, 64), (16, 256)])
+    def test_gram_rows_do_not_depend_on_the_conjugate_budget(self, monkeypatch, l, m):
+        # every trial's Gram matrix is its own product, so building them one
+        # trial or one whole chunk at a time gives each row the same bits
+        rng = np.random.default_rng(10)
+        step = kernels.chunk_step(l, m)
+        h = rng.standard_normal((step, l, m)) + 1j * rng.standard_normal((step, l, m))
+        rows = [kernels.gram_stats(h)]
+        for trials in (1, step):
+            monkeypatch.setattr(kernels, "_CONJ_BYTES", trials * l * m * 16)
+            rows.append(kernels.gram_stats(h))
+        for other in rows[1:]:
+            np.testing.assert_array_equal(other, rows[0])
+
+    def test_channels_write_into_the_given_buffer(self):
+        w, bh = random_batch(n_trials=5, l=3, m=8, seed=11)
+        out = np.full((5, 3, 8), np.nan, np.complex128)
+        assert kernels.channels(w, bh, out=out) is out
+        np.testing.assert_array_equal(out, kernels.channels(w, bh))
+
+
+class TestMemory:
+    def test_one_call_holds_one_channel_buffer(self):
+        # the chunks share one channel buffer and the Gram products read
+        # conjugate copies of at most _CONJ_BYTES, so the traced peak of a
+        # whole batch stays below both plus 1 MiB of small arrays
+        l, m, n_trials, rank = 16, 256, 500, 32
+        rng = np.random.default_rng(12)
+        w = draw_fading([rng] * l, [rank] * l, n_trials)
+        bh = rng.standard_normal((l, rank, m)) + 1j * rng.standard_normal((l, rank, m))
+        gram_eta_stats(w[:1], bh)  # lazy set-up outside the traced call
+        buffer_bytes = kernels.chunk_step(l, m) * l * m * 16
+        tracemalloc.start()
+        try:
+            gram_eta_stats(w, bh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer_bytes + kernels._CONJ_BYTES + (1 << 20), peak
 
 
 def near_dependent_batch(eps, l=3, m=8, seed=3):

@@ -85,6 +85,14 @@ class TestScenarioValidation:
             exp_scenario(**{field: value})
         assert raised.value.field == field
 
+    @pytest.mark.parametrize(
+        "field, value", [("model", None), ("model", "exponential"), ("geometry", None)]
+    )
+    def test_rejects_wrong_typed_model_or_geometry(self, field, value):
+        with pytest.raises(InvalidParameterError) as raised:
+            exp_scenario(**{field: value})
+        assert raised.value.field == field
+
     def test_stores_numpy_integers_as_int(self):
         scenario = exp_scenario(
             m=np.int64(8), l=np.int32(2), n_drops=np.uint8(2), seed=np.uint64(2**63)
