@@ -83,15 +83,13 @@ _MODEL_KEYS = {
     variant: {key for key, (field, _) in _SCHEMA[("model",)].items() if field in fields}
     for variant, fields in VARIANT_FIELDS.items()
 }
-# the key path that sets each dataclass field, and those of the phase bounds
+# the key path that sets each dataclass field
 _FIELD_KEYS = {
     field: keys + (key,)
     for keys, section in _SCHEMA.items()
     for key, (field, _) in section.items()
     if field is not None
 }
-_FIELD_KEYS["phase_range_low_deg"] = ("model", "phase_range_deg", 0)
-_FIELD_KEYS["phase_range_high_deg"] = ("model", "phase_range_deg", 1)
 
 
 def _collect_marks(node, path, marks):
@@ -471,6 +469,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy.random imports secrets, and through it hashlib's OpenSSL backend,
+    # which maps libcrypto (3.3 MB resident) though no stream is seeded from
+    # secrets. Blocking the backend makes hashlib and hmac use CPython's
+    # built-in digests in this process and in the pool workers it forks,
+    # unless numpy.random or the backend is already loaded
+    if "numpy.random" not in sys.modules:
+        sys.modules.setdefault("_hashlib", None)
     args = _build_arg_parser().parse_args(argv)
     try:
         if args.workers < 1:

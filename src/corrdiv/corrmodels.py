@@ -9,7 +9,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     CorrDivError,
@@ -112,13 +111,19 @@ class CorrelationModelSpec:
         object.__setattr__(self, "phase_range_deg", phase_range)
         lo, hi = phase_range
         tagged = {"angular_spread_deg": self.angular_spread_deg, "mean_doa_deg": self.mean_doa_deg}
-        require_finite(
-            xi=self.xi,
-            phase_range_low_deg=lo,
-            phase_range_high_deg=hi,
-            spacing_wavelengths=self.spacing_wavelengths,
-            **{k: v for k, v in tagged.items() if not isinstance(v, str)},
-        )
+        ends = {"phase_range_deg low end": lo, "phase_range_deg high end": hi}
+        try:
+            require_finite(
+                xi=self.xi,
+                **ends,
+                spacing_wavelengths=self.spacing_wavelengths,
+                **{k: v for k, v in tagged.items() if not isinstance(v, str)},
+            )
+        except InvalidParameterError as exc:
+            # the message names the end, the field the pair
+            if exc.field in ends:
+                exc.field = "phase_range_deg"
+            raise
         # a field the variant does not read keeps its default, so one model
         # has one spec, and its default passes the checks below
         for f in fields(self):
@@ -198,6 +203,10 @@ def _clerckx_row(m, xi, delta_phase_deg):
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order):
+    # imported with the first one-ring build, which a pass without one-ring
+    # models never makes: numpy.polynomial holds 0.8 MB
+    from numpy.polynomial.legendre import leggauss
+
     return leggauss(order)
 
 

@@ -340,33 +340,47 @@ def _stats_key(s: Scenario) -> tuple:
     return (s.model,) + _fading_key(s)
 
 
+def _kernel_run(s: Scenario, drop_index: int, fading, profiles=None) -> tuple:
+    """``(trace_sq, stats, trials, attempts)`` of scenario ``s``'s drop, from
+    its lane-1 ``profiles`` or, when None, from profiles built here, which
+    die with this call."""
+    trace_sq, bh = profiles or _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
+    return (trace_sq,) + _draw_kernel(s, drop_index, bh, fading[_fading_key(s)])
+
+
 def _draw_drops(scenarios, drop_index: int) -> list:
     """One drop of every scenario: its ``_DropDraws`` or the ``CorrDivError``
     that aborted it.
 
-    Every correlation model's lane-1 profiles come first. Scenarios of equal
-    (seed, n_fading, L, M) then share the drop's fading, each terminal drawn
-    to the largest rank any of their profiles reads, and those that also
-    share the correlation model share its kernel statistics. All of it lives
-    only as long as this call.
+    The one-ring profiles come first, because their ranks set how far the
+    fading is drawn; an exponential or Clerckx terminal has the rank of the
+    cached exponential factor, and its model's profiles are built just
+    before that model's kernel runs, so the drop holds one (L, r, M) Clerckx
+    stack at a time. Each model reads its own lane-1 stream, so the order
+    moves no draw. Scenarios of equal (seed, n_fading, L, M) share the
+    drop's fading, each terminal drawn to the largest rank any of their
+    profiles reads, and those that also share the correlation model share
+    its kernel statistics. All of it lives only as long as this call.
     """
     _trim_heap(0)
     firsts = {}
     for s in scenarios:
         firsts.setdefault(_stats_key(s), s)
-    runs = {}
+    runs, ranks = {}, {}
     for key, s in firsts.items():
         try:
-            runs[key] = _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
+            if s.model.variant == "one_ring":
+                runs[key] = _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
+                need = [len(b) for b in runs[key][1]]
+            else:
+                need = [len(_exponential_profile(s.m, s.model.xi)[1])] * s.l
         except CorrDivError as exc:
             runs[key] = exc
+            continue
+        shape = _fading_key(s)
+        ranks[shape] = np.maximum(ranks.get(shape, 0), need)
 
     _trim_heap(0)
-    ranks = {}
-    for key, run in runs.items():
-        if not isinstance(run, CorrDivError):
-            shape = _fading_key(firsts[key])
-            ranks[shape] = np.maximum(ranks.get(shape, 0), [len(b) for b in run[1]])
     fading = {
         (seed, n, l, m): draw_fading(
             [_stream(seed, drop_index, _FADING_LANE, t) for t in range(l)], need, n
@@ -374,12 +388,11 @@ def _draw_drops(scenarios, drop_index: int) -> list:
         for (seed, n, l, m), need in ranks.items()
     }
 
-    for key, run in runs.items():
-        if isinstance(run, CorrDivError):
+    for key, s in firsts.items():
+        if isinstance(runs.get(key), CorrDivError):
             continue
-        s, (trace_sq, bh) = firsts[key], run
         try:
-            runs[key] = (trace_sq,) + _draw_kernel(s, drop_index, bh, fading[_fading_key(s)])
+            runs[key] = _kernel_run(s, drop_index, fading, runs.get(key))
         except CorrDivError as exc:
             runs[key] = exc
 
@@ -546,8 +559,9 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
     when it raises, and a pooled pass leaves the main process's count as it
     is. Each drop draws its fading once per (seed, n_fading, L, M) and its
     kernel statistics once per correlation model, and frees both before the
-    next drop. The attenuation constant, rho_t and sigma2 enter only when the
-    drops are aggregated, so every result is bit-identical to a separate
+    next drop; the heap is trimmed once more before aggregation. The
+    attenuation constant, rho_t and sigma2 enter only when the drops are
+    aggregated, so every result is bit-identical to a separate
     ``run_scenario`` call, for any worker count.
 
     With ``calibrate``, the calibration baseline of the first scenario joins
@@ -591,6 +605,9 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
             ) as pool:
                 per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
         outcomes = [list(column) for column in zip(*per_drop)]
+        # the last drop's freed fading and kernel pages would otherwise stay
+        # resident while the results are aggregated and written
+        _trim_heap(0)
     finally:
         _advise_huge_pages(advising)
     if calibrate:

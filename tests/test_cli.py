@@ -648,8 +648,43 @@ THREADS = (
 )
 
 
+# a small calibrated Clerckx scenario, whose pass draws through numpy.random
+LEAN_SCENARIO = MINIMAL.replace(
+    "  type: exponential\n  xi: 0.6", "  type: clerckx\n  xi: 0.9\n  phase_range_deg: [0.0, 38.0]"
+).replace("  attenuation_constant: 1.0", "  calibrate: true")
+SHA256_CORRDIV = "46755d6ef5e599400cb0f0f3bb1cd0de639a304705e3cf352d73952c1511349c"
+
+
+def after_lean_run(prelude, call="main"):
+    """Code that runs ``prelude``, then the lean scenario at one worker, through
+    ``cli.main`` (``corrdiv run``, output discarded) or through
+    ``run_scenarios`` as a library call. It prints the exit code, whether
+    libcrypto is mapped, whether hashlib's OpenSSL backend is loaded and
+    whether a SHA-256 digest is right."""
+    run = {
+        "main": "main(['run', '--scenario', str(path), '--out', tmp, '--workers', '1'])",
+        "library": "run_scenarios([load_scenario_file(path)[0]], calibrate=True) and 0",
+    }[call]
+    return f"""{prelude}
+import contextlib, io, sys, tempfile
+from pathlib import Path
+from corrdiv.cli import load_scenario_file, main, run_scenarios
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    path = Path(tmp) / "lean.yaml"
+    path.write_text({LEAN_SCENARIO!r})
+    code = {run}
+import hashlib
+print(
+    code,
+    "libcrypto" in Path("/proc/self/maps").read_text(),
+    sys.modules.get("_hashlib") is not None,
+    hashlib.sha256(b"corrdiv").hexdigest() == {SHA256_CORRDIV!r},
+)
+"""
+
+
 @pytest.mark.parametrize(
-    "code, expected, env, threads",
+    "code, expected, env, needs",
     [
         # scipy serves only the tests
         pytest.param(
@@ -657,7 +692,7 @@ THREADS = (
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             "[]",
             {},
-            False,
+            None,
             id="cli-loads-no-scipy",
         ),
         # the process pool's modules load with the first pooled pass
@@ -666,8 +701,38 @@ THREADS = (
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))",
             "[]",
             {},
-            False,
+            None,
             id="cli-loads-no-multiprocessing",
+        ),
+        # numpy.polynomial loads with the first one-ring build
+        pytest.param(
+            "import sys, corrdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))",
+            "[]",
+            {},
+            None,
+            id="cli-loads-no-numpy-polynomial",
+        ),
+        # a command-line process maps no OpenSSL; hashlib falls back to
+        # CPython's built-in digests
+        pytest.param(
+            after_lean_run(""), "0 False False True", {}, "linux", id="cli-maps-no-openssl"
+        ),
+        # a process that loaded numpy.random first keeps its OpenSSL backend,
+        # and so does a library pass
+        pytest.param(
+            after_lean_run("import numpy.random"),
+            "0 True True True",
+            {},
+            "linux",
+            id="numpy-random-first-keeps-openssl",
+        ),
+        pytest.param(
+            after_lean_run("", call="library"),
+            "0 True True True",
+            {},
+            "linux",
+            id="library-pass-keeps-openssl",
         ),
         # the package's names load on first use, so the command line can set
         # BLAS threading before numpy loads, and a library import sets nothing
@@ -676,24 +741,26 @@ THREADS = (
             "print('numpy' in sys.modules, dict(os.environ) == before)",
             "False True",
             {},
-            False,
+            None,
             id="package-loads-no-numpy",
         ),
         pytest.param(
-            "import corrdiv.cli; " + THREADS, "1 1", {}, True, id="cli-starts-one-blas-thread"
+            "import corrdiv.cli; " + THREADS, "1 1", {}, "blas", id="cli-starts-one-blas-thread"
         ),
         pytest.param(
             "import corrdiv.cli; " + THREADS,
             "2 2",
             {"OPENBLAS_NUM_THREADS": "2"},
-            True,
+            "blas",
             id="exported-blas-threads-win",
         ),
     ],
 )
-def test_fresh_interpreter_import(code, expected, env, threads):
-    if threads and not blas_threads_observable():
+def test_fresh_interpreter_import(code, expected, env, needs):
+    if needs == "blas" and not blas_threads_observable():
         pytest.skip("needs Linux, numpy's bundled OpenBLAS and two cores")
+    if needs == "linux" and not sys.platform.startswith("linux"):
+        pytest.skip("needs Linux's /proc/self/maps")
     assert fresh_interpreter(code, **env) == expected
 
 

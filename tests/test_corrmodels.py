@@ -429,9 +429,10 @@ def test_model_spec_rejects_non_finite_values(kwargs):
         ({"variant": "exponential", "xi": "0.5"}, "xi"),
         ({"variant": "exponential", "xi": None}, "xi"),
         ({"variant": "exponential", "xi": True}, "xi"),
-        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": ("0", 38.0)}, "phase_range_low_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": ("0", 38.0)}, "phase_range_deg"),
         ({"variant": "one_ring", "angular_spread_deg": None}, "angular_spread_deg"),
         ({"variant": "one_ring", "spacing_wavelengths": "0.5"}, "spacing_wavelengths"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": (0.0, None)}, "phase_range_deg"),
     ],
 )
 def test_model_spec_rejects_non_real_values(kwargs, field):

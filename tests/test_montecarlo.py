@@ -443,6 +443,91 @@ class TestSharedClerckxFactor:
             assert np.max(np.abs(b.conj().T @ b - want)) <= 1e-12
 
 
+def toeplitz_pass(n_fading=500, n_drops=1):
+    """An exponential and three Clerckx models that share a drop's fading,
+    as the paper's Toeplitz-family files do in ``compare``."""
+    models = [CorrelationModelSpec(variant="exponential", xi=0.9)] + [
+        CorrelationModelSpec(variant="clerckx", xi=0.9, phase_range_deg=(0.0, d))
+        for d in (14.0, 28.0, 38.0)
+    ]
+    return [
+        exp_scenario(m=64, l=6, model=model, n_drops=n_drops, n_fading=n_fading, seed=1009)
+        for model in models
+    ]
+
+
+def eager_draws(scenarios, drop_index):
+    """``(trace_sq, stats, trials, attempts)`` per scenario, with every model's
+    lane-1 profiles built before the fading is drawn, so that all the Clerckx
+    stacks are alive at once."""
+    profiles = [
+        montecarlo._terminal_profiles(s, montecarlo._stream(s.seed, drop_index, 1))
+        for s in scenarios
+    ]
+    s = scenarios[0]
+    need = np.max([[len(b) for b in bh] for _, bh in profiles], axis=0)
+    streams = [montecarlo._stream(s.seed, drop_index, 2, t) for t in range(s.l)]
+    fading = draw_fading(streams, need, s.n_fading)
+    return [
+        (trace_sq,) + montecarlo._draw_kernel(sc, drop_index, bh, fading)
+        for sc, (trace_sq, bh) in zip(scenarios, profiles)
+    ]
+
+
+class TestDropMemory:
+    def test_stacks_built_at_their_kernel_give_the_eager_draws(self):
+        scenarios = toeplitz_pass()
+        for d in range(3):
+            drawn = montecarlo._draw_drops(scenarios, d)
+            for got, (trace_sq, stats, trials, attempts) in zip(drawn, eager_draws(scenarios, d)):
+                assert got.trace_sq == trace_sq
+                np.testing.assert_array_equal(got.stats, stats)
+                assert (got.redrawn_trials, got.rejected_trials) == (trials, attempts)
+
+    def test_a_drop_holds_one_clerckx_stack(self):
+        # the fading, one (L, M, M) stack, one kernel chunk and one conjugate
+        # copy, plus 256 KiB of small arrays; two more stacks would not fit
+        scenarios = toeplitz_pass()
+        montecarlo._draw_drops(scenarios, 0)  # the cached exponential factor
+        s, item = scenarios[0], np.dtype(np.complex128).itemsize
+        fading = s.n_fading * s.l * s.m * item
+        stack = s.l * s.m * s.m * item
+        chunk = kernels.chunk_step(s.l, s.m) * s.l * s.m * item
+        tracemalloc.start()
+        try:
+            montecarlo._draw_drops(scenarios, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fading + stack + chunk + kernels._CONJ_BYTES + (1 << 18), peak
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_heap_is_trimmed_between_the_last_drop_and_aggregation(self, monkeypatch, workers):
+        # a pooled pass draws its drops in the workers, which trim their own
+        # heaps, so the main process records only its own trim
+        events = []
+        real_draw, real_result = montecarlo._draw_drops, montecarlo._result
+
+        def draw_drops(scenarios, drop_index):
+            outcomes = real_draw(scenarios, drop_index)
+            events.append("drop")
+            return outcomes
+
+        def result(scenario, outcomes):
+            events.append("aggregate")
+            return real_result(scenario, outcomes)
+
+        monkeypatch.setattr(montecarlo, "_trim_heap", lambda pad: events.append("trim"))
+        if workers == 1:  # a pool pickles the drop function by name
+            monkeypatch.setattr(montecarlo, "_draw_drops", draw_drops)
+        monkeypatch.setattr(montecarlo, "_result", result)
+        run_scenarios(toeplitz_pass(n_fading=20, n_drops=3)[:2], workers=workers)
+        first = events.index("aggregate")
+        last = max((i for i, e in enumerate(events) if e == "drop"), default=-1)
+        assert "trim" in events[last + 1 : first]
+        assert events.count("drop") == (3 if workers == 1 else 0)
+
+
 class TestRunScenario:
     def test_singleton_summary_equals_drop(self):
         scenario = exp_scenario(n_drops=1, n_fading=16)
@@ -775,8 +860,9 @@ class TestRunScenarios:
         monkeypatch.setattr(montecarlo, "_trim_heap", lambda pad: trims.append((pad, advice())))
         before = advice()
         (trimmed,) = run_scenarios([exp_scenario(n_drops=3)])
-        # before each drop's profiles and again before its fading
-        assert trims == [(0, False)] * 6
+        # before each drop's profiles and again before its fading, and once
+        # after the last drop
+        assert trims == [(0, False)] * 7
         assert advice() == before
         monkeypatch.undo()
         assert trimmed.summary == run_scenario(exp_scenario(n_drops=3)).summary
