@@ -1,8 +1,8 @@
 """Command-line entry points: run, compare, calibrate.
 
-Scenario files are YAML documents validated against a closed schema; unknown
-keys are rejected and every diagnostic carries the file and line it came
-from. All tables are plain CSV with full-precision floats.
+Scenario files are YAML documents read against a closed schema: the parser
+checks their shape only, the dataclasses every value, and each diagnostic
+carries its file and line. All tables are plain CSV with full-precision floats.
 """
 
 import os
@@ -40,54 +40,52 @@ from .propagation import GeometryConfig, MeasuredAngularModel
 # bench/trace_cli.py wraps them here
 from .montecarlo import calibrate_attenuation_constant, run_scenario  # noqa: F401, E402
 
-# kinds of value a key takes: a string other than these is a tag the key may
-# take in place of a number, and a key of kind None is read by the parser itself
-_INTEGER, _NUMBER, _PAIR, _SECTION = "integer", "number", "pair", "section"
 # the file schema: each section's keys in manifest order, each with the
-# dataclass field it sets (a section of field None sets its parent's) and kind
+# dataclass field it sets. A key whose path names a section is that section;
+# one of field None sets its parent's fields, or the parser reads it itself
 _SCHEMA = {
     (): {
-        "rng_contract": (None, None),
-        "m": ("m", _INTEGER),
-        "l": ("l", _INTEGER),
-        "rho_t_db": ("rho_t_db", _NUMBER),
-        "sigma2": ("sigma2", _NUMBER),
-        "model": ("model", _SECTION),
-        "geometry": ("geometry", _SECTION),
-        "run": (None, _SECTION),
+        "rng_contract": None,
+        "m": "m",
+        "l": "l",
+        "rho_t_db": "rho_t_db",
+        "sigma2": "sigma2",
+        "model": "model",
+        "geometry": "geometry",
+        "run": None,
     },
     ("model",): {
-        "type": ("variant", None),
-        "xi": ("xi", _NUMBER),
-        "phase_range_deg": ("phase_range_deg", _PAIR),
-        "angular_spread_deg": ("angular_spread_deg", "measured"),
-        "mean_doa": ("mean_doa_deg", "uniform"),
-        "spacing_wavelengths": ("spacing_wavelengths", _NUMBER),
-        "measured": ("measured", _SECTION),
+        "type": "variant",
+        "xi": "xi",
+        "phase_range_deg": "phase_range_deg",
+        "angular_spread_deg": "angular_spread_deg",
+        "mean_doa": "mean_doa_deg",
+        "spacing_wavelengths": "spacing_wavelengths",
+        "measured": "measured",
     },
     ("model", "measured"): {
-        key: (key, _NUMBER) for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")
+        key: key for key in ("spread_mean_deg", "spread_std_deg", "spread_floor_deg")
     },
     ("geometry",): {
-        "cell_radius_m": ("cell_radius_m", _NUMBER),
-        "reference_distance_m": ("reference_distance_m", _NUMBER),
-        "alpha": ("attenuation_exponent", _NUMBER),
-        "sigma_sh_db": ("shadowing_std_db", _NUMBER),
-        "attenuation_constant": ("attenuation_constant", _NUMBER),
-        "calibrate": (None, None),
+        "cell_radius_m": "cell_radius_m",
+        "reference_distance_m": "reference_distance_m",
+        "alpha": "attenuation_exponent",
+        "sigma_sh_db": "shadowing_std_db",
+        "attenuation_constant": "attenuation_constant",
+        "calibrate": None,
     },
-    ("run",): {key: (key, _INTEGER) for key in ("n_drops", "n_fading", "seed")},
+    ("run",): {key: key for key in ("n_drops", "n_fading", "seed")},
 }
 # the model keys each type takes: those of the spec fields its variant reads
 _MODEL_KEYS = {
-    variant: {key for key, (field, _) in _SCHEMA[("model",)].items() if field in fields}
+    variant: {key for key, field in _SCHEMA[("model",)].items() if field in fields}
     for variant, fields in VARIANT_FIELDS.items()
 }
 # the key path that sets each dataclass field
 _FIELD_KEYS = {
     field: keys + (key,)
     for keys, section in _SCHEMA.items()
-    for key, (field, _) in section.items()
+    for key, field in section.items()
     if field is not None
 }
 
@@ -102,15 +100,11 @@ def _collect_marks(node, path, marks):
             _collect_marks(item, path + (i,), marks)
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
 class _Parser:
     """Schema walker that turns violations into located ScenarioErrors.
 
-    It checks the file's shape and kinds only; value ranges are the
-    dataclasses' to check, and ``build`` locates their errors.
+    It checks the file's shape only; every value is the dataclasses' to
+    check, and ``build`` locates their errors.
     """
 
     def __init__(self, path, marks):
@@ -135,28 +129,13 @@ class _Parser:
         return value
 
     def values(self, raw, keys) -> dict:
-        """The fields the keys in ``raw`` set, each value checked against its
-        key's kind in schema order. Sub-sections and keys of kind None are
-        the caller's to read."""
-        fields = {}
-        for key, (field, kind) in _SCHEMA[keys].items():
-            if key not in raw or kind in (None, _SECTION):
-                continue
-            value = raw[key]
-            if kind == _INTEGER:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    self.fail(keys + (key,), f"expected an integer, got {value!r}")
-            elif kind == _PAIR:
-                if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
-                    self.fail(keys + (key,), "expected a [low, high] pair of numbers")
-                value = (float(value[0]), float(value[1]))
-            elif _is_number(value):
-                value = float(value)
-            elif kind == _NUMBER or not isinstance(value, str):
-                expected = "a number" if kind == _NUMBER else f"a number or {kind!r}"
-                self.fail(keys + (key,), f"expected {expected}, got {value!r}")
-            fields[field] = value
-        return fields
+        """The fields the keys in ``raw`` set, as given. Sub-sections and keys
+        of field None are the caller's to read."""
+        return {
+            field: raw[key]
+            for key, field in _SCHEMA[keys].items()
+            if key in raw and field is not None and keys + (key,) not in _SCHEMA
+        }
 
     def build(self, cls, keys, **kwargs):
         """``cls(**kwargs)``, with a rejected value reported at the key that set
@@ -193,7 +172,7 @@ def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
         fields["measured"] = p.build(
             MeasuredAngularModel, block_keys, **p.values(block, block_keys)
         )
-    return p.build(CorrelationModelSpec, keys, variant=variant, **fields)
+    return p.build(CorrelationModelSpec, keys, **fields)
 
 
 def load_scenario_file(path):
@@ -258,16 +237,16 @@ def load_scenario_file(path):
 def _section_to_dict(obj, keys) -> dict:
     """Section ``keys`` of the file schema, filled from the dataclass ``obj``."""
     doc = {}
-    for key, (field, kind) in _SCHEMA[keys].items():
+    for key, field in _SCHEMA[keys].items():
         if keys == ("model",) and key not in _MODEL_KEYS[obj.variant]:
             continue
-        if kind == _SECTION:
+        if keys + (key,) in _SCHEMA:
             section = obj if field is None else getattr(obj, field)
             if section is not None:
                 doc[key] = _section_to_dict(section, keys + (key,))
         elif field is not None:
             value = getattr(obj, field)
-            doc[key] = list(value) if kind == _PAIR else value
+            doc[key] = list(value) if isinstance(value, tuple) else value
     return doc
 
 

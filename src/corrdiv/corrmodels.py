@@ -16,6 +16,8 @@ from .errors import (
     IndefiniteMatrixError,
     InvalidParameterError,
     QuadratureNonconvergenceError,
+    finite_float,
+    is_real,
     require_finite,
 )
 from .propagation import MeasuredAngularModel
@@ -90,6 +92,19 @@ class CorrelationModelSpec:
     measured: MeasuredAngularModel | None = None
 
     def __post_init__(self):
+        # a tag's type is checked before the measured rule, which blames the
+        # block for any other spread, and its value after
+        tags = {"angular_spread_deg": "measured", "mean_doa_deg": "uniform"}
+        for name, tag in tags.items():
+            value = getattr(self, name)
+            if not (isinstance(value, str) or is_real(value)):
+                raise InvalidParameterError(
+                    f"{name} must be a real number or {tag!r}, got {value!r}", field=name
+                )
+        if not isinstance(self.measured, (MeasuredAngularModel, type(None))):
+            raise InvalidParameterError(
+                f"measured must be a MeasuredAngularModel, got {self.measured!r}", field="measured"
+            )
         if self.angular_spread_deg != "measured":
             if self.measured is not None:
                 raise InvalidParameterError(
@@ -97,33 +112,29 @@ class CorrelationModelSpec:
                 )
         elif self.measured is None:
             object.__setattr__(self, "measured", MeasuredAngularModel())
-        if self.variant not in VARIANT_FIELDS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANT_FIELDS:
             raise InvalidParameterError(
                 f"unknown correlation model variant {self.variant!r}", field="variant"
             )
-        # a tuple, so that specs stay hashable whatever sequence the caller gave
-        phase_range = tuple(self.phase_range_deg)
-        if len(phase_range) != 2:
+        pair = self.phase_range_deg
+        try:
+            ends = () if isinstance(pair, str) else tuple(pair)
+        except TypeError:
+            ends = ()
+        if len(ends) != 2:
             raise InvalidParameterError(
-                f"phase range must be a (low, high) pair, got {self.phase_range_deg!r}",
+                f"phase range must be a (low, high) pair of real numbers, got {pair!r}",
                 field="phase_range_deg",
             )
-        object.__setattr__(self, "phase_range_deg", phase_range)
-        lo, hi = phase_range
-        tagged = {"angular_spread_deg": self.angular_spread_deg, "mean_doa_deg": self.mean_doa_deg}
-        ends = {"phase_range_deg low end": lo, "phase_range_deg high end": hi}
-        try:
-            require_finite(
-                xi=self.xi,
-                **ends,
-                spacing_wavelengths=self.spacing_wavelengths,
-                **{k: v for k, v in tagged.items() if not isinstance(v, str)},
-            )
-        except InvalidParameterError as exc:
-            # the message names the end, the field the pair
-            if exc.field in ends:
-                exc.field = "phase_range_deg"
-            raise
+        # a tuple of floats, so that specs stay hashable whatever pair the caller gave
+        lo, hi = (
+            finite_float(value, f"phase_range_deg {end} end", "phase_range_deg")
+            for end, value in zip(("low", "high"), ends)
+        )
+        object.__setattr__(self, "phase_range_deg", (lo, hi))
+        require_finite(
+            self, "xi", "spacing_wavelengths", *(n for n in tags if is_real(getattr(self, n)))
+        )
         # a field the variant does not read keeps its default, so one model
         # has one spec, and its default passes the checks below
         for f in fields(self):

@@ -21,14 +21,33 @@ class InvalidParameterError(CorrDivError):
         self.field = field
 
 
-def require_finite(**values):
-    """Raise ``InvalidParameterError`` naming the first value that is not a
-    finite real number; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameterError(f"{name} must be a real number, got {value!r}", field=name)
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}", field=name)
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def finite_float(value, name, field=None) -> float:
+    """``value`` as a float. Raises ``InvalidParameterError`` naming ``field``
+    (``name`` by default) unless it is a finite real number."""
+    field = field or name
+    if not is_real(value):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}", field=field)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{name} must be finite, got a value beyond the float range", field=field
+        ) from None
+    if not math.isfinite(number):
+        raise InvalidParameterError(f"{name} must be finite, got {value}", field=field)
+    return number
+
+
+def require_finite(obj, *names):
+    """Check each named field of the frozen dataclass ``obj`` with
+    ``finite_float`` and store it back as a float."""
+    for name in names:
+        object.__setattr__(obj, name, finite_float(getattr(obj, name), name))
 
 
 class DimensionMismatchError(CorrDivError):

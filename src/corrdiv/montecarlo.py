@@ -109,7 +109,7 @@ class Scenario:
                 raise InvalidParameterError(
                     f"{name} must be a {kind.__name__}, got {value!r}", field=name
                 )
-        require_finite(rho_t_db=self.rho_t_db, sigma2=self.sigma2)
+        require_finite(self, "rho_t_db", "sigma2")
         if self.m < 1 or self.l < 1 or self.l > self.m:
             raise InvalidParameterError(
                 f"need M >= L >= 1, got M={self.m}, L={self.l}",
@@ -259,11 +259,11 @@ def _terminal_profiles(scenario: Scenario, rng):
     if model.mean_doa_deg == "uniform":
         doas = [float(rng.uniform(-180.0, 180.0)) for _ in range(n)]
     else:
-        doas = [float(model.mean_doa_deg)] * n
+        doas = [model.mean_doa_deg] * n
     if model.angular_spread_deg == "measured":
         spreads = [draw_truncated_spread(model.measured, rng) for _ in range(n)]
     else:
-        spreads = [float(model.angular_spread_deg)] * n
+        spreads = [model.angular_spread_deg] * n
     bh = []
 
     def profiles():

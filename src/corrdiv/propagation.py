@@ -4,7 +4,7 @@ Link gain model: beta = A * zeta * (r0 / r)^alpha with lognormal shadowing
 zeta (10*log10(zeta) ~ N(0, sigma_sh^2)) and attenuation constant A.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,13 +24,7 @@ class GeometryConfig:
     attenuation_constant: float = 1.0
 
     def __post_init__(self):
-        require_finite(
-            cell_radius_m=self.cell_radius_m,
-            reference_distance_m=self.reference_distance_m,
-            attenuation_exponent=self.attenuation_exponent,
-            shadowing_std_db=self.shadowing_std_db,
-            attenuation_constant=self.attenuation_constant,
-        )
+        require_finite(self, *(f.name for f in fields(self)))
         if not 0 < self.reference_distance_m < self.cell_radius_m:
             raise InvalidParameterError(
                 f"need 0 < r0 < cell radius, got r0={self.reference_distance_m}, "
@@ -65,11 +59,7 @@ class MeasuredAngularModel:
     spread_floor_deg: float = 1.0
 
     def __post_init__(self):
-        require_finite(
-            spread_mean_deg=self.spread_mean_deg,
-            spread_std_deg=self.spread_std_deg,
-            spread_floor_deg=self.spread_floor_deg,
-        )
+        require_finite(self, *(f.name for f in fields(self)))
         if not 0 < self.spread_floor_deg <= 180:
             raise InvalidParameterError(
                 "spread floor must be in (0, 180] deg", field="spread_floor_deg"

@@ -202,6 +202,24 @@ run:
   seed: 7
 """
 
+# the keys that set a real-valued field: every leaf key of the file schema but
+# the model type and the integer sizes
+NUMBER_KEYS = [
+    path
+    for field, path in cli._FIELD_KEYS.items()
+    if path not in cli._SCHEMA
+    and field not in {"variant", "m", "l", "n_drops", "n_fading", "seed"}
+]
+# for each model key, a model section that takes it
+MODEL_FOR_KEY = {
+    "xi": {"type": "exponential", "xi": 0.6},
+    "phase_range_deg": {"type": "clerckx", "xi": 0.6, "phase_range_deg": [0.0, 38.0]},
+    "angular_spread_deg": {"type": "one_ring", "angular_spread_deg": 14.02},
+    "mean_doa": {"type": "one_ring", "angular_spread_deg": 14.02},
+    "spacing_wavelengths": {"type": "one_ring", "angular_spread_deg": 14.02},
+    "measured": {"type": "one_ring", "angular_spread_deg": "measured"},
+}
+
 
 class TestArgParser:
     @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
@@ -266,6 +284,25 @@ class TestValidation:
         scenario = write_scenario(tmp_path, "\n".join(lines) + "\n")
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f"{scenario}:{line}: {label}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", NUMBER_KEYS, ids=".".join)
+    def test_integer_beyond_float_range_is_located(self, tmp_path, capsys, path):
+        huge = 10**400
+        data = yaml.safe_load(MINIMAL)
+        if path[0] == "model":
+            data["model"] = dict(MODEL_FOR_KEY[path[1]])
+        section = data
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = [huge, huge] if path[-1] == "phase_range_deg" else huge
+        scenario = write_scenario(tmp_path, yaml.safe_dump(data, sort_keys=False))
+        lines = scenario.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if str(huge) in text)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{scenario}:{line}: {'.'.join(path)}:" in err
+        assert "beyond the float range" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1", "2", "4", "6", "true", "'2'", "'3'"])

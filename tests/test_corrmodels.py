@@ -416,6 +416,9 @@ def test_toeplitz_builds_match_scipy_exactly():
         {"variant": "one_ring", "mean_doa_deg": float("inf")},
         {"variant": "one_ring", "spacing_wavelengths": float("nan")},
         {"variant": "one_ring", "spacing_wavelengths": float("inf")},
+        {"variant": "exponential", "xi": 10**400},
+        {"variant": "clerckx", "xi": 0.9, "phase_range_deg": (0, 10**400)},
+        {"variant": "one_ring", "angular_spread_deg": -(10**400)},
     ],
 )
 def test_model_spec_rejects_non_finite_values(kwargs):
@@ -433,12 +436,47 @@ def test_model_spec_rejects_non_finite_values(kwargs):
         ({"variant": "one_ring", "angular_spread_deg": None}, "angular_spread_deg"),
         ({"variant": "one_ring", "spacing_wavelengths": "0.5"}, "spacing_wavelengths"),
         ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": (0.0, None)}, "phase_range_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": 5}, "phase_range_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": None}, "phase_range_deg"),
+        ({"variant": "clerckx", "xi": 0.9, "phase_range_deg": "05"}, "phase_range_deg"),
+        ({"variant": "one_ring", "mean_doa_deg": [0.0]}, "mean_doa_deg"),
     ],
 )
 def test_model_spec_rejects_non_real_values(kwargs, field):
     with pytest.raises(InvalidParameterError, match="real number") as raised:
         CorrelationModelSpec(**kwargs)
     assert raised.value.field == field
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"variant": "bogus"}, "variant"),
+        ({"variant": ["x"]}, "variant"),
+        ({"variant": None}, "variant"),
+        (
+            {
+                "variant": "one_ring",
+                "angular_spread_deg": "measured",
+                "measured": {"spread_mean_deg": 20.0},
+            },
+            "measured",
+        ),
+    ],
+)
+def test_model_spec_rejects_bad_variant_or_fit(kwargs, field):
+    with pytest.raises(InvalidParameterError) as raised:
+        CorrelationModelSpec(**kwargs)
+    assert raised.value.field == field
+
+
+def test_model_spec_stores_numbers_as_floats():
+    clerckx = CorrelationModelSpec(variant="clerckx", xi=1, phase_range_deg=[0, np.int64(38)])
+    ring = CorrelationModelSpec(variant="one_ring", angular_spread_deg=14, mean_doa_deg=0)
+    ring = replace(ring, spacing_wavelengths=1)
+    values = [clerckx.xi, *clerckx.phase_range_deg, ring.angular_spread_deg, ring.mean_doa_deg]
+    assert [type(v) for v in values + [ring.spacing_wavelengths]] == [float] * 6
+    assert clerckx == CorrelationModelSpec(variant="clerckx", xi=1.0, phase_range_deg=(0.0, 38.0))
 
 
 def test_model_spec_keeps_phase_range_as_a_pair():

@@ -122,11 +122,18 @@ class TestScenarioValidation:
             {"rho_t_db": float("inf")},
             {"sigma2": float("inf")},
             {"sigma2": float("nan")},
+            {"rho_t_db": 10**400},
+            {"sigma2": -(10**400)},
         ],
     )
     def test_rejects_non_finite_values(self, overrides):
         with pytest.raises(InvalidParameterError, match="finite"):
             exp_scenario(**overrides)
+
+    def test_stores_numbers_as_floats(self):
+        scenario = exp_scenario(rho_t_db=5, sigma2=np.int64(2))
+        assert type(scenario.rho_t_db) is float and type(scenario.sigma2) is float
+        assert scenario == exp_scenario(rho_t_db=5.0, sigma2=2.0)
 
     @pytest.mark.parametrize(
         "model, m, l",

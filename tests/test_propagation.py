@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -64,10 +64,18 @@ class TestGeometryConfig:
             "attenuation_constant",
         ],
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_rejects_non_finite_values(self, field, value):
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError, match="finite") as raised:
             GeometryConfig(**{field: value})
+        assert raised.value.field == field
+
+    def test_stores_numbers_as_floats(self):
+        g = GeometryConfig(cell_radius_m=600, reference_distance_m=np.int64(40))
+        assert {type(value) for value in astuple(g)} == {float}
+        assert g == GeometryConfig(cell_radius_m=600.0, reference_distance_m=40.0)
 
     @pytest.mark.parametrize(
         "field",
@@ -237,10 +245,17 @@ class TestAngularParams:
         "field",
         ["spread_mean_deg", "spread_std_deg", "spread_floor_deg"],
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_rejects_non_finite_values(self, field, value):
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError, match="finite") as raised:
             MeasuredAngularModel(**{field: value})
+        assert raised.value.field == field
+
+    def test_stores_numbers_as_floats(self):
+        model = MeasuredAngularModel(spread_mean_deg=20, spread_std_deg=4, spread_floor_deg=2)
+        assert {type(value) for value in astuple(model)} == {float}
 
 
 def instantaneous_snr_db(scenario):
