@@ -175,6 +175,20 @@ def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
     return p.build(CorrelationModelSpec, keys, **fields)
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, with a value its constructor cannot convert, such as
+    an integer past the interpreter's digit limit or ``!!bool x``, reported
+    at its line."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (KeyError, ValueError) as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.tag}: {exc}", node.start_mark
+            ) from None
+
+
 def load_scenario_file(path):
     """Parse and validate a scenario file.
 
@@ -187,7 +201,7 @@ def load_scenario_file(path):
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}", path=str(path))
     # one pass: the composed node gives both the line marks and the data
-    loader = yaml.SafeLoader(text)
+    loader = _Loader(text)
     try:
         node = loader.get_single_node()
         data = None if node is None else loader.construct_document(node)
@@ -460,8 +474,8 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
         return args.handler(args)
-    except (CorrDivError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CorrDivError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, ScenarioError) else 1
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 # Gram matrices past this condition number poison trace averages; callers
-# count the rejection and resample the trial
+# leave such a trial out and count it
 COND_MAX = 1e12
 # bytes of channels one kernel chunk synthesizes, so that its channels and the
 # conjugate copy its Gram product makes stay cache-sized whatever the batch

@@ -1,20 +1,19 @@
 """Drop x fading-trial Monte Carlo orchestration and aggregation.
 
-Randomness discipline (RNG contract 5): every stream is derived from the
+Randomness discipline (RNG contract 6): every stream is derived from the
 scenario seed as SeedSequence(entropy=seed, spawn_key=(drop, lane, ...))
 feeding an SFC64 generator. Lane 0 carries geometry and shadowing, lane 1 the
-per-terminal correlation parameters, lane 2 one fading stream per terminal l
-(spawn key (drop, 2, l)) and lane 3 the redraws of ill-conditioned trials,
-taken in trial order. Terminal l's channel reads the first r_l columns of its
-fading, where r_l is the rank of its pivoted-Cholesky factor, and its stream
-fills column k for every trial before column k + 1, so those columns do not
-depend on how far the stream is drawn. Drops are therefore independent work
-units whose results do not depend on worker count, scheduling order or the
-other scenarios of a pass, and scenarios of equal (n_fading, L, M) share
-their fading drop by drop. ``run_scenarios`` exploits that: it loops over
-drops outermost and, within a drop, draws each terminal's fading once, to
-the largest rank any scenario of that shape reads, and the kernel statistics
-once per correlation model.
+per-terminal correlation parameters and lane 2 one fading stream per terminal
+l (spawn key (drop, 2, l)). Terminal l's channel reads the first r_l columns
+of its fading, where r_l is the rank of its pivoted-Cholesky factor, and its
+stream fills column k for every trial before column k + 1, so those columns
+do not depend on how far the stream is drawn. Drops are therefore
+independent work units whose results do not depend on worker count,
+scheduling order or the other scenarios of a pass, and scenarios of equal
+(n_fading, L, M) share their fading drop by drop. ``run_scenarios`` exploits
+that: it loops over drops outermost and, within a drop, draws each
+terminal's fading once, to the largest rank any scenario of that shape
+reads, and the kernel statistics once per correlation model.
 
 Calibration lives here too: the attenuation constant A that puts the 5th
 percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
@@ -61,14 +60,15 @@ from .corrmodels import build_clerckx  # noqa: F401
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
-RNG_CONTRACT = 5
+RNG_CONTRACT = 6
 
 _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
 _FADING_LANE = 2
-_REDRAW_LANE = 3
-# a single trial redrawn this often means the ensemble itself is degenerate
-_MAX_REDRAWS = 64
+# the most bytes one array of a run may take: one drop's (n_fading, L, M)
+# fading block, one M x M correlation matrix, or the n_drops x n_fading
+# trials a run keeps. A scenario past it is rejected before it allocates
+MAX_ARRAY_BYTES = 1 << 32
 # the configuration calibration solves on; a scenario keeps its geometry,
 # noise power, seed, run sizes and radial law
 _REFERENCE = {
@@ -130,6 +130,17 @@ class Scenario:
             raise InvalidParameterError(
                 f"unknown radial law {self.radial_law!r}", field="radial_law"
             )
+        for nbytes, fields, array in (
+            (16 * self.m**2, "m", "an M x M correlation matrix"),
+            (16 * self.n_fading * self.l * self.m, ("n_fading", "l", "m"), "a drop's fading"),
+            (8 * self.n_drops * self.n_fading, ("n_drops", "n_fading"), "the trials a run keeps"),
+        ):
+            if nbytes > MAX_ARRAY_BYTES:
+                raise InvalidParameterError(
+                    f"{array} would take more than {MAX_ARRAY_BYTES >> 30} GiB, "
+                    "the most one array may take",
+                    field=fields,
+                )
         rank = _shared_rank(self.model, self.m)
         if rank is not None and rank < self.l:
             raise InvalidParameterError(
@@ -153,13 +164,10 @@ class DropResult:
     sum_se_sim_bits: float
     sum_se_cf_bits: float
     trace_sq: float
-    # redraw attempts, which outnumber the rejected trials whenever one
-    # trial needs several
+    # trials the condition screen left out of every average
     rejected_trials: int
-    # trials the condition screen rejected, each redrawn until it passed
-    redrawn_trials: int
     eta_cv: float
-    # each trial's L / Tr[G^-1]; a terminal's instantaneous SNR is
+    # each kept trial's L / Tr[G^-1]; a terminal's instantaneous SNR is
     # rho_t beta / sigma2 times it
     inv_eta: np.ndarray
 
@@ -180,8 +188,8 @@ class _DropDraws:
     distances_m: list
     shadowing: list
     trace_sq: float
-    stats: np.ndarray
-    redrawn_trials: int
+    # the kept trials' Tr[G^-1]
+    trace_inv: np.ndarray
     rejected_trials: int
 
 
@@ -289,47 +297,6 @@ def _draw_geometry(scenario: Scenario, drop_index: int):
     return distances, shadowing
 
 
-def _draw_kernel(scenario: Scenario, drop_index: int, bh, fading):
-    """The Gram statistics of the drop's fading and the redraws of
-    ill-conditioned trials, with their abort rules.
-
-    ``bh`` holds the terminals' lane-1 factors and ``fading`` the drop's
-    lane-2 draws, (n_fading, L, >= r_l). Returns ``(stats, trials,
-    attempts)``: the statistics, the number of trials the screen rejected and
-    the redraw attempts they took.
-    """
-    stats = kernels.gram_eta_stats(fading, bh)
-
-    rejected = 0
-    gen_redraw = None
-    ranks = [len(b) for b in bh]
-    bad = np.flatnonzero(~kernels.conditioned(stats))
-    for t in bad:
-        if gen_redraw is None:
-            gen_redraw = _stream(scenario.seed, drop_index, _REDRAW_LANE)
-        # every attempt takes the next r_l pairs of the redraw lane for each
-        # terminal in turn
-        for _ in range(_MAX_REDRAWS):
-            rejected += 1
-            w_t = draw_fading([gen_redraw] * scenario.l, ranks, n_trials=1)
-            row = kernels.gram_eta_stats(w_t, bh)
-            stats[t] = row[0]
-            if kernels.conditioned(row)[0]:
-                break
-        else:
-            raise RunFailureError(
-                f"trial {t} still ill-conditioned after {_MAX_REDRAWS} redraws"
-            )
-    # the threshold counts redraw attempts, which outnumber the rejected
-    # trials whenever one trial needs several
-    if rejected > 0.05 * scenario.n_fading:
-        raise RunFailureError(
-            f"{len(bad)} rejected trials out of {scenario.n_fading} took {rejected} "
-            f"redraw attempts, more than the 5% abort threshold allows"
-        )
-    return stats, len(bad), rejected
-
-
 def _fading_key(s: Scenario) -> tuple:
     """What a drop's fading draws depend on."""
     return (s.seed, s.n_fading, s.l, s.m)
@@ -341,11 +308,22 @@ def _stats_key(s: Scenario) -> tuple:
 
 
 def _kernel_run(s: Scenario, drop_index: int, fading, profiles=None) -> tuple:
-    """``(trace_sq, stats, trials, attempts)`` of scenario ``s``'s drop, from
-    its lane-1 ``profiles`` or, when None, from profiles built here, which
-    die with this call."""
+    """``(trace_sq, trace_inv, rejected)`` of scenario ``s``'s drop: the
+    Tr[G^-1] of every trial that passes the condition screen, and the count
+    of those that fail it, which enter no average. More than 5% failed
+    trials abort the drop. ``profiles`` are the drop's lane-1 profiles or,
+    when None, built here and freed with this call.
+    """
     trace_sq, bh = profiles or _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
-    return (trace_sq,) + _draw_kernel(s, drop_index, bh, fading[_fading_key(s)])
+    stats = kernels.gram_eta_stats(fading[_fading_key(s)], bh)
+    kept = kernels.conditioned(stats)
+    rejected = s.n_fading - int(np.count_nonzero(kept))
+    if rejected > 0.05 * s.n_fading:
+        raise RunFailureError(
+            f"{rejected} of {s.n_fading} trials failed the condition screen, "
+            "more than the 5% abort threshold allows"
+        )
+    return trace_sq, stats[kept, 0], rejected
 
 
 def _draw_drops(scenarios, drop_index: int) -> list:
@@ -413,7 +391,7 @@ def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
     """Link gains, fading-averaged and closed-form SNRs and sum SE of one drop."""
     n_term, n_ant = scenario.l, scenario.m
     trace_sq = draws.trace_sq
-    trace_inv = draws.stats[:, 0]
+    trace_inv = draws.trace_inv
     inv_eta = n_term / trace_inv
     betas = np.array(
         [link_gain(scenario.geometry, z, d) for d, z in zip(draws.distances_m, draws.shadowing)]
@@ -444,7 +422,6 @@ def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
         sum_se_cf_bits=sum_se_cf,
         trace_sq=trace_sq,
         rejected_trials=draws.rejected_trials,
-        redrawn_trials=draws.redrawn_trials,
         eta_cv=eta_cv,
         inv_eta=inv_eta,
     )

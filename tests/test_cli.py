@@ -169,6 +169,24 @@ class TestRunCommand:
         assert manifest["rng_contract"] == RNG_CONTRACT
         assert "rng_contract" not in manifest["run"]
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, exc, message):
+        # an allocation below the array ceiling can still fail on a small host
+        def run_scenarios(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scenarios", run_scenarios)
+        scenario = write_scenario(tmp_path, MINIMAL)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_degenerate_run_exits_one(self, tmp_path, capsys):
         # rank-1 profiles 1e-9 deg apart: accepted, singular in every trial
         text = MINIMAL.replace(
@@ -274,6 +292,10 @@ class TestValidation:
             # (50/500)^400 underflows every link gain to zero
             ("geometry.alpha", "400.0"),
             ("model.measured.spread_floor_deg", "181.0"),
+            # run sizes whose arrays would pass the 4 GiB ceiling
+            ("m", "100000"),
+            ("run.n_fading", "100000000000000000000"),
+            pytest.param("run.n_drops", "1" + "0" * 400, id="run.n_drops-1e400"),
         ],
     )
     def test_rejected_value_is_located_at_its_key(self, tmp_path, capsys, label, value):
@@ -305,7 +327,7 @@ class TestValidation:
         assert "beyond the float range" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["1", "2", "4", "6", "true", "'2'", "'3'"])
+    @pytest.mark.parametrize("value", ["1", "2", "4", "5", "true", "'2'", "'3'"])
     def test_foreign_rng_contract_is_located(self, tmp_path, capsys, value):
         scenario = write_scenario(tmp_path, f"rng_contract: {value}\n" + MINIMAL)
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
@@ -354,6 +376,25 @@ class TestValidation:
         scenario = write_scenario(tmp_path, "m: [unclosed\n")
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
         assert "invalid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # int() refuses a literal of more than 4300 digits, and so does
+            # str() of such an int, so the literal is built as text
+            pytest.param("1" + "0" * 5000, "int: Exceeds the limit", id="digit-limit"),
+            ("!!float abc", "float: could not convert"),
+            ("!!bool x", "bool: 'x'"),
+        ],
+    )
+    def test_unreadable_scalar_is_located(self, tmp_path, capsys, value, message):
+        text = MINIMAL.replace("l: 2\n", f"l: 2\nrho_t_db: {value}\n")
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        prefix = f"error: {scenario}:3: invalid YAML: cannot read tag:yaml.org,2002:"
+        assert err.startswith(prefix + message), err
+        assert not (tmp_path / "out").exists()
 
     def test_attenuation_and_calibrate_are_exclusive(self, tmp_path, capsys):
         text = MINIMAL.replace(

@@ -110,6 +110,16 @@ EXPLICIT = [
     BASE.format(m=8, l=2, model=BELOW_FLOOR.format(std="0.0")),
     BASE.format(m=8, l=2, model=BELOW_FLOOR.format(std="1.0e-9")),
 ]
+# an integer literal past the interpreter's 4300-digit limit, built as text
+# since str() of such an int raises too, and run sizes whose arrays would pass
+# the 4 GiB ceiling
+EXPONENTIAL = BASE.format(m=8, l=2, model="  type: exponential\n  xi: 0.6")
+EXPLICIT += [
+    EXPONENTIAL + "rho_t_db: 1" + "0" * 5000 + "\n",
+    EXPONENTIAL.replace("m: 8", "m: 100000"),
+    EXPONENTIAL.replace("n_fading: 10", "n_fading: 100000000000000000000"),
+    EXPONENTIAL.replace("n_drops: 2", "n_drops: 1" + "0" * 400),
+]
 
 
 def _apply_examples(test):

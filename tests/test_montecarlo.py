@@ -101,6 +101,23 @@ class TestScenarioValidation:
         for name in ("m", "l", "n_drops", "n_fading", "seed"):
             assert type(getattr(scenario, name)) is int
 
+    @pytest.mark.parametrize(
+        "name, at_ceiling, fields",
+        [
+            # one 4 GiB correlation matrix; the exponential rank rule builds none
+            ("m", 16384, "m"),
+            # one drop's (n_fading, 2, 8) fading block
+            ("n_fading", montecarlo.MAX_ARRAY_BYTES // 256, ("n_fading", "l", "m")),
+            # the n_drops x 4 trials the run keeps
+            ("n_drops", montecarlo.MAX_ARRAY_BYTES // 32, ("n_drops", "n_fading")),
+        ],
+    )
+    def test_rejects_arrays_past_the_ceiling(self, name, at_ceiling, fields):
+        exp_scenario(**{name: at_ceiling})
+        with pytest.raises(InvalidParameterError, match="more than 4 GiB") as exc:
+            exp_scenario(**{name: at_ceiling + 1})
+        assert exc.value.field == fields
+
     def test_rejects_nonpositive_noise_power(self):
         with pytest.raises(InvalidParameterError):
             exp_scenario(sigma2=0.0)
@@ -223,60 +240,61 @@ class TestRunDrop:
         )
         assert run_drop(clerckx, 0).trace_sq < exp.trace_sq
 
-    def test_forced_rejection_redraws_and_counts(self, monkeypatch):
-        # 1 rejection out of 32 trials stays under the 5% abort threshold
-        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0,)}))
-        a = run_drop(exp_scenario(n_fading=32), 0)
-        assert a.rejected_trials == 1
+    def test_flagged_trial_enters_no_average(self, monkeypatch):
+        # trial 5 fails the screen: it is left out and counted once, so 19 of
+        # 20 trials are averaged; 1 of 20 is the 5% the threshold still allows
+        scenario = exp_scenario(n_drops=1, n_fading=20)
+        (clean,) = run_scenario(scenario).drops
+        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (5,)}))
+        result = run_scenario(scenario)
+        (drop,) = result.drops
 
-        monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0,)}))
-        b = run_drop(exp_scenario(n_fading=32), 0)
-        assert np.array_equal(a.per_terminal_expected_snr_db, b.per_terminal_expected_snr_db)
-
-    def test_rejected_trials_count_apart_from_redraw_attempts(self, monkeypatch):
-        # trial 4 fails the screen and so do its first two redraws: one
-        # rejected trial takes three attempts, under 5% of 100 trials
-        real = kernels.conditioned
-        verdicts = iter([False, False, True])
-
-        def conditioned(stats):
-            mask = real(stats)
-            if len(stats) > 1:
-                mask[4] = False
-            else:
-                mask[0] = next(verdicts)
-            return mask
-
-        monkeypatch.setattr(kernels, "conditioned", conditioned)
-        drop = run_drop(exp_scenario(n_fading=100), 0)
-        assert (drop.redrawn_trials, drop.rejected_trials) == (1, 3)
-        assert next(verdicts, None) is None
+        kept = np.delete(clean.inv_eta, 5)
+        assert drop.rejected_trials == 1
+        assert result.summary["rejected_trials_total"] == 1
+        assert np.array_equal(drop.inv_eta, kept)
+        scale = scenario.rho_t_linear * drop.link_gains / scenario.sigma2
+        np.testing.assert_array_equal(
+            drop.per_terminal_expected_snr_db, 10.0 * np.log10(scale * np.mean(kept))
+        )
+        inst = np.outer(kept, scale)
+        assert drop.sum_se_sim_bits == np.mean(np.sum(np.log2(1.0 + inst), axis=1))
+        np.testing.assert_array_equal(
+            pooled_instantaneous_snr_db(result), 10.0 * np.log10(inst).ravel()
+        )
 
     def test_excess_rejections_abort_drop(self, monkeypatch):
-        # trials 0 and 1 fail the screen, their first redraws pass:
-        # 2 rejections out of 10 trials trips the 5% threshold
+        # trials 0 and 1 fail the screen: 2 of 10 trips the 5% threshold
         monkeypatch.setattr(kernels, "gram_eta_stats", KernelSpy({0: (0, 1)}))
-        with pytest.raises(RunFailureError, match="5%"):
+        with pytest.raises(RunFailureError) as exc:
             run_drop(exp_scenario(n_fading=10), 0)
+        assert str(exc.value) == (
+            "2 of 10 trials failed the condition screen, "
+            "more than the 5% abort threshold allows"
+        )
 
-    def test_abort_counts_redraw_attempts_apart_from_rejected_trials(self):
-        # measured one-ring at L/M = 3/4: rejected trials need several
-        # redraws each, so the attempts outnumber the rejected trials
+    def test_high_load_profiles_fail_the_screen(self):
+        # measured one-ring at L/M = 3/4: some drops' profiles put cond(G)
+        # near or past 1e12 whatever the fading, and those drops abort
         model = CorrelationModelSpec(variant="one_ring", angular_spread_deg="measured")
         geometry = GeometryConfig(attenuation_constant=1e3)
         scenario = Scenario(
             m=64, l=48, model=model, n_drops=8, n_fading=100, seed=11, geometry=geometry
         )
-        with pytest.raises(RunFailureError) as exc:
-            run_drop(scenario, 2)
-        assert str(exc.value) == (
-            "54 rejected trials out of 100 took 147 redraw attempts, "
-            "more than the 5% abort threshold allows"
-        )
+        for drop_index, failed in ((2, 54), (4, 98)):
+            with pytest.raises(RunFailureError) as exc:
+                run_drop(scenario, drop_index)
+            assert str(exc.value) == (
+                f"{failed} of 100 trials failed the condition screen, "
+                "more than the 5% abort threshold allows"
+            )
+        drop = run_drop(scenario, 7)
+        assert drop.rejected_trials == 1
+        assert drop.inv_eta.shape == (99,)
 
-    def test_degenerate_ensemble_exhausts_redraws(self):
+    def test_degenerate_ensemble_fails_the_screen(self):
         scenario = exp_scenario(m=4, l=2, model=DEGENERATE, n_fading=4, seed=3)
-        with pytest.raises(RunFailureError, match="redraws"):
+        with pytest.raises(RunFailureError, match="^4 of 4 trials failed the condition screen"):
             run_drop(scenario, 0)
 
 
@@ -287,8 +305,8 @@ class KernelSpy:
     """Wraps the Gram kernel: records every batch it sees and reports chosen
     calls' trials as ill-conditioned.
 
-    ``flags`` maps a call index to the trials of that call to flag; call 0 is
-    the drop's full fading block, later calls are single-trial redraws.
+    ``flags`` maps a call index to the trials of that call to flag; a drop
+    makes one call per correlation model.
     """
 
     def __init__(self, flags):
@@ -315,8 +333,8 @@ class DrawSpy:
 
 
 class TestFadingStreams:
-    """RNG contract 5: lane 2 holds one fading stream per terminal, lane 3 the
-    drop's redraws."""
+    """RNG contract 6: lane 2 holds one fading stream per terminal, and no
+    lane past it is opened."""
 
     def spy(self, monkeypatch, flags):
         kernel, draws, keys = KernelSpy(flags), DrawSpy(), []
@@ -336,44 +354,26 @@ class TestFadingStreams:
         kernel, draws, keys = self.spy(monkeypatch, {})
         drop = run_drop(scenario, 1)
         assert drop.rejected_trials == 0
-        # one stream per terminal; the redraw lane is never opened
+        # one stream per terminal
         assert sorted(keys) == [(1, 0), (1, 1), (1, 2, 0), (1, 2, 1)]
         assert [(r, n) for _, r, n in draws.calls] == [([8, 8], 70)]
         block = draw_fading([montecarlo._stream(9, 1, 2, l) for l in range(2)], [8, 8], 70)
         assert np.array_equal(kernel.batches[0], block)
 
-    def test_redraws_come_from_lane_three_in_trial_order(self, monkeypatch):
+    def test_flagged_trials_leave_the_block(self, monkeypatch):
         scenario = exp_scenario(n_fading=100, seed=21)
-        # trials 5 and 2 fail the screen; trial 2's first redraw fails too
-        kernel, draws, keys = self.spy(monkeypatch, {0: (2, 5), 1: (0,)})
+        # trials 5 and 2 fail the screen: no stream is opened for them, and
+        # the kept trials are the others' rows bit for bit
+        kernel, draws, keys = self.spy(monkeypatch, {0: (5, 2)})
         drop = run_drop(scenario, 0)
 
-        assert drop.rejected_trials == 3
-        assert sorted(k[1] for k in keys) == [0, 1, 2, 2, 3]
-        assert [n for *_, n in draws.calls] == [100, 1, 1, 1]
-        redraw_gens = {id(g) for gens, _, _ in draws.calls[1:] for g in gens}
-        assert len(redraw_gens) == 1
-
-        lane3 = montecarlo._stream(21, 0, 3)
-        expected = [draw_fading([lane3] * 2, [8, 8], n_trials=1) for _ in range(3)]
-        for got, want in zip(kernel.batches[1:], expected):
-            assert np.array_equal(got, want)
-
-        # trial 2 keeps the second lane-3 block, trial 5 the third; the
-        # others keep their lane-2 rows
-        block = kernel.batches[0].copy()
-        block[2], block[5] = expected[1][0], expected[2][0]
+        assert drop.rejected_trials == 2
+        assert sorted(keys) == [(0, 0), (0, 1), (0, 2, 0), (0, 2, 1)]
+        assert [n for *_, n in draws.calls] == [100]
+        assert len(kernel.batches) == 1
         bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
-        inv_eta = 2 / kernels.gram_stats(kernels.channels(block, bh))[:, 0]
-        np.testing.assert_allclose(drop.inv_eta, inv_eta, rtol=1e-12)
-
-    def test_redraw_cap_raises(self, monkeypatch):
-        cap = montecarlo._MAX_REDRAWS
-        flags = {0: (0,), **{k: (0,) for k in range(1, cap + 1)}}
-        _, draws, _ = self.spy(monkeypatch, flags)
-        with pytest.raises(RunFailureError, match=f"after {cap} redraws"):
-            run_drop(exp_scenario(n_fading=8), 0)
-        assert len(draws.calls) == 1 + cap
+        inv_eta = 2 / kernels.gram_stats(kernels.channels(kernel.batches[0], bh))[:, 0]
+        assert np.array_equal(drop.inv_eta, np.delete(inv_eta, [2, 5]))
 
     def test_scenarios_share_the_block_of_a_drop(self, monkeypatch):
         kernel, _, _ = self.spy(monkeypatch, {})
@@ -464,7 +464,7 @@ def toeplitz_pass(n_fading=500, n_drops=1):
 
 
 def eager_draws(scenarios, drop_index):
-    """``(trace_sq, stats, trials, attempts)`` per scenario, with every model's
+    """``(trace_sq, trace_inv, rejected)`` per scenario, with every model's
     lane-1 profiles built before the fading is drawn, so that all the Clerckx
     stacks are alive at once."""
     profiles = [
@@ -474,10 +474,10 @@ def eager_draws(scenarios, drop_index):
     s = scenarios[0]
     need = np.max([[len(b) for b in bh] for _, bh in profiles], axis=0)
     streams = [montecarlo._stream(s.seed, drop_index, 2, t) for t in range(s.l)]
-    fading = draw_fading(streams, need, s.n_fading)
+    fading = {montecarlo._fading_key(s): draw_fading(streams, need, s.n_fading)}
     return [
-        (trace_sq,) + montecarlo._draw_kernel(sc, drop_index, bh, fading)
-        for sc, (trace_sq, bh) in zip(scenarios, profiles)
+        montecarlo._kernel_run(sc, drop_index, fading, profile)
+        for sc, profile in zip(scenarios, profiles)
     ]
 
 
@@ -486,10 +486,10 @@ class TestDropMemory:
         scenarios = toeplitz_pass()
         for d in range(3):
             drawn = montecarlo._draw_drops(scenarios, d)
-            for got, (trace_sq, stats, trials, attempts) in zip(drawn, eager_draws(scenarios, d)):
+            for got, (trace_sq, trace_inv, rejected) in zip(drawn, eager_draws(scenarios, d)):
                 assert got.trace_sq == trace_sq
-                np.testing.assert_array_equal(got.stats, stats)
-                assert (got.redrawn_trials, got.rejected_trials) == (trials, attempts)
+                np.testing.assert_array_equal(got.trace_inv, trace_inv)
+                assert got.rejected_trials == rejected
 
     def test_a_drop_holds_one_clerckx_stack(self):
         # the fading, one (L, M, M) stack, one kernel chunk and one conjugate
@@ -546,6 +546,18 @@ class TestRunScenario:
         assert result.summary["expected_snr_db_median"] == np.percentile(snrs, 50.0)
         assert result.summary["sum_se_sim_bits_mean"] == drop.sum_se_sim_bits
         assert result.summary["sum_se_cf_bits_mean"] == drop.sum_se_cf_bits
+
+    def test_eta_cv_is_over_the_kept_trials(self, monkeypatch):
+        # drop 1 leaves trial 3 out, 1 of 40 trials
+        scenario = exp_scenario(n_drops=3, n_fading=40)
+        kernel = KernelSpy({1: (3,)})
+        monkeypatch.setattr(kernels, "gram_eta_stats", kernel)
+        result = run_scenario(scenario)
+        bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
+        for drop, batch, left_out in zip(result.drops, kernel.batches, ([], [3], [])):
+            trace_inv = np.delete(kernels.gram_stats(kernels.channels(batch, bh))[:, 0], left_out)
+            assert drop.eta_cv == np.std(trace_inv) / np.mean(trace_inv)
+        assert result.summary["eta_cv_mean"] == np.mean([d.eta_cv for d in result.drops])
 
     def test_worker_count_does_not_change_results(self):
         scenario = exp_scenario(n_drops=4, n_fading=8)
@@ -923,7 +935,7 @@ class TestRunScenarios:
             run_scenario(short[1])
         assert str(merged_error.value) == str(alone_error.value)
         assert str(merged_error.value).startswith(
-            "1 of 2 drops aborted: drop 0: 2 rejected trials out of 10"
+            "1 of 2 drops aborted: drop 0: 2 of 10 trials failed the condition screen"
         )
 
 

@@ -59,7 +59,7 @@ class TestDrawFading:
             assert np.array_equal(w[:, l, :r], want.T)
 
     def test_shared_generator_draws_each_terminal_in_turn(self):
-        # the redraw rule: one trial takes r_l pairs per terminal, in order
+        # one generator passed L times serves the terminals in turn, r_l pairs each
         w = draw_fading([rng(7)] * 3, [2, 4, 1], n_trials=1)
         z = rng(7).standard_normal(14)
         pairs = np.sqrt(0.5) * (z[0::2] + 1j * z[1::2])
