@@ -202,6 +202,7 @@ def load_scenario_file(path):
         raise ScenarioError(f"cannot read scenario file: {exc}", path=str(path))
     # one pass: the composed node gives both the line marks and the data
     loader = _Loader(text)
+    loader.name = str(path)  # the file, not "<unicode string>", in every mark
     try:
         node = loader.get_single_node()
         data = None if node is None else loader.construct_document(node)

@@ -366,22 +366,23 @@ def _trace_sq(rbar) -> float:
     return trace_sq
 
 
-def average_clerckx(m: int, xi: float, deltas) -> tuple:
-    """:func:`average_correlation` over ``[build_clerckx(m, xi, d) for d in
-    deltas]`` without building those matrices; ``deltas`` is a sequence.
+def average_toeplitz(columns) -> tuple:
+    """:func:`average_correlation` over the Hermitian Toeplitz matrices with
+    first columns ``columns``, a sequence, without building those matrices.
 
-    Every Clerckx matrix is Hermitian Toeplitz, so their entrywise sum is the
-    Toeplitz matrix of their first rows summed in the same order: the mean
-    equals :func:`average_correlation`'s entry for entry, up to the sign of a
-    zero, and its trace bit for bit. The mean is returned as an array: its
-    diagonal, L / L in complex arithmetic, need not be exactly 1.
+    Their entrywise sum is the Toeplitz matrix of their first columns summed
+    in the same order, so the mean equals :func:`average_correlation`'s entry
+    for entry, up to the sign of a zero, and its trace bit for bit. The mean
+    is returned as an array: its diagonal, L / L in complex arithmetic, need
+    not be exactly 1.
     """
-    _check_order_xi(m, xi)
-    if len(deltas) == 0:
+    if len(columns) == 0:
         raise DimensionMismatchError("need at least one correlation matrix")
-    total = np.zeros(m, np.complex128)
-    for d in deltas:
-        total += _clerckx_row(m, xi, d)
-    rbar = _hermitian_toeplitz(total.conj())
-    rbar /= len(deltas)
+    total = np.zeros(len(columns[0]), np.result_type(*{c.dtype for c in columns}))
+    for col in columns:
+        if col.shape != total.shape:
+            raise DimensionMismatchError("correlation matrices differ in order")
+        total += col
+    rbar = _hermitian_toeplitz(total)
+    rbar /= len(columns)
     return rbar, _trace_sq(rbar)

@@ -13,7 +13,9 @@ scheduling order or the other scenarios of a pass, and scenarios of equal
 (n_fading, L, M) share their fading drop by drop. ``run_scenarios`` exploits
 that: it loops over drops outermost and, within a drop, draws each
 terminal's fading once, to the largest rank any scenario of that shape
-reads, and the kernel statistics once per correlation model.
+reads, and the kernel statistics once per correlation model. A drop's
+lane-0 geometry is drawn when each scenario's drop is aggregated, since no
+kernel reads it.
 
 Calibration lives here too: the attenuation constant A that puts the 5th
 percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
@@ -33,8 +35,8 @@ import numpy as np
 from . import kernels
 from .corrmodels import (
     CorrelationModelSpec,
-    average_clerckx,
-    average_correlation,
+    _clerckx_row,
+    average_toeplitz,
     build_exponential,
     build_one_ring,
     factor,
@@ -55,8 +57,8 @@ from .zfcore import (
 )
 
 # no longer called here, kept in this namespace because bench/trace_cli.py
-# wraps it here
-from .corrmodels import build_clerckx  # noqa: F401
+# wraps them here
+from .corrmodels import average_correlation, build_clerckx  # noqa: F401
 
 # version of the seed-to-stream mapping; manifests record it, since outputs
 # of one contract cannot be reproduced under another
@@ -66,8 +68,9 @@ _GEOMETRY_LANE = 0
 _MODEL_LANE = 1
 _FADING_LANE = 2
 # the most bytes one array of a run may take: one drop's (n_fading, L, M)
-# fading block, one M x M correlation matrix, or the n_drops x n_fading
-# trials a run keeps. A scenario past it is rejected before it allocates
+# fading block, one M x M correlation matrix, or the n_drops x n_fading x L
+# instantaneous SNRs that a run, or its L=6 calibration baseline, pools. A
+# scenario past it is rejected before it allocates
 MAX_ARRAY_BYTES = 1 << 32
 # the configuration calibration solves on; a scenario keeps its geometry,
 # noise power, seed, run sizes and radial law
@@ -133,7 +136,11 @@ class Scenario:
         for nbytes, fields, array in (
             (16 * self.m**2, "m", "an M x M correlation matrix"),
             (16 * self.n_fading * self.l * self.m, ("n_fading", "l", "m"), "a drop's fading"),
-            (8 * self.n_drops * self.n_fading, ("n_drops", "n_fading"), "the trials a run keeps"),
+            (
+                8 * self.n_drops * self.n_fading * max(self.l, _REFERENCE["l"]),
+                ("n_drops", "n_fading"),
+                "the instantaneous SNRs a run pools",
+            ),
         ):
             if nbytes > MAX_ARRAY_BYTES:
                 raise InvalidParameterError(
@@ -179,20 +186,6 @@ class ScenarioResult:
     summary: dict
 
 
-@dataclass(frozen=True)
-class _DropDraws:
-    """What one drop draws for a scenario: everything its result needs except
-    the attenuation constant, rho_t and sigma2."""
-
-    drop_index: int
-    distances_m: list
-    shadowing: list
-    trace_sq: float
-    # the kept trials' Tr[G^-1]
-    trace_inv: np.ndarray
-    rejected_trials: int
-
-
 @lru_cache(maxsize=32)
 def _shared_rank(model: CorrelationModelSpec, m: int) -> Optional[int]:
     """Numerical rank of the one matrix every terminal shares, or None when
@@ -227,22 +220,25 @@ def _stream(seed: int, *spawn_key):
 
 @lru_cache(maxsize=8)
 def _exponential_profile(m: int, xi: float):
-    """The exponential matrix and its read-only conjugate-transposed factor.
+    """The exponential matrix's first column and its conjugate-transposed
+    factor, both read-only.
 
     Both depend on (M, xi) alone, so every drop of an exponential or Clerckx
     scenario, and of the calibration baseline, shares one factorization.
     """
     r = build_exponential(m, xi)
-    bh = factor(r)
+    col, bh = r.entries[:, 0].copy(), factor(r)
+    col.setflags(write=False)
     bh.setflags(write=False)
-    return r, bh
+    return col, bh
 
 
 def _terminal_profiles(scenario: Scenario, rng):
     """Lane 1: the drop's Tr[Rbar^2] and the terminals' conjugate-transposed
     correlation factors, one (r_l, M) array per terminal: an (L, r, M) stack
     for the exponential and Clerckx families, whose terminals share a rank,
-    and a list for the one-ring family.
+    and a list for the one-ring family. Every profile is Hermitian Toeplitz,
+    so the trace comes from the terminals' first columns.
 
     Draw order inside the model lane is fixed: all mean-DOA draws first, then
     all spread draws. Scenarios differing only in the spread rule therefore
@@ -251,13 +247,13 @@ def _terminal_profiles(scenario: Scenario, rng):
     model = scenario.model
     m, n = scenario.m, scenario.l
     if model.variant == "exponential":
-        r, bh = _exponential_profile(m, model.xi)
-        _, trace_sq = average_correlation([r] * n)
+        col, bh = _exponential_profile(m, model.xi)
+        _, trace_sq = average_toeplitz([col] * n)
         return trace_sq, np.broadcast_to(bh, (n,) + bh.shape)
     if model.variant == "clerckx":
         lo, hi = model.phase_range_deg
         deltas = [float(rng.uniform(lo, hi)) for _ in range(n)]
-        _, trace_sq = average_clerckx(m, model.xi, deltas)
+        _, trace_sq = average_toeplitz([_clerckx_row(m, model.xi, d).conj() for d in deltas])
         _, bh = _exponential_profile(m, model.xi)
         # R = D^H T D with T exponential and D = diag(e^{j delta i}), so
         # B^H = B_T^H D is the shared factor with its columns phase-ramped
@@ -272,16 +268,13 @@ def _terminal_profiles(scenario: Scenario, rng):
         spreads = [draw_truncated_spread(model.measured, rng) for _ in range(n)]
     else:
         spreads = [model.angular_spread_deg] * n
-    bh = []
-
-    def profiles():
-        # each matrix is factored and folded into Rbar before the next is built
-        for s, d in zip(spreads, doas):
-            r = build_one_ring(m, s, d, model.spacing_wavelengths)
-            bh.append(factor(r))
-            yield r
-
-    _, trace_sq = average_correlation(profiles())
+    # each matrix is factored and freed before the next is built
+    bh, columns = [], []
+    for s, d in zip(spreads, doas):
+        r = build_one_ring(m, s, d, model.spacing_wavelengths)
+        bh.append(factor(r))
+        columns.append(r.entries[:, 0].copy())
+    _, trace_sq = average_toeplitz(columns)
     return trace_sq, bh
 
 
@@ -326,9 +319,10 @@ def _kernel_run(s: Scenario, drop_index: int, fading, profiles=None) -> tuple:
     return trace_sq, stats[kept, 0], rejected
 
 
-def _draw_drops(scenarios, drop_index: int) -> list:
-    """One drop of every scenario: its ``_DropDraws`` or the ``CorrDivError``
-    that aborted it.
+def _draw_drops(scenarios, drop_index: int) -> dict:
+    """One drop's kernel results, ``{_stats_key(s): (trace_sq, trace_inv,
+    rejected)}`` for each correlation model of ``scenarios``, or the
+    ``CorrDivError`` that aborted that model's drop.
 
     The one-ring profiles come first, because their ranks set how far the
     fading is drawn; an exponential or Clerckx terminal has the rank of the
@@ -338,7 +332,8 @@ def _draw_drops(scenarios, drop_index: int) -> list:
     moves no draw. Scenarios of equal (seed, n_fading, L, M) share the
     drop's fading, each terminal drawn to the largest rank any of their
     profiles reads, and those that also share the correlation model share
-    its kernel statistics. All of it lives only as long as this call.
+    its kernel statistics. All of it lives only as long as this call; the
+    geometry is drawn when the drop is aggregated.
     """
     _trim_heap(0)
     firsts = {}
@@ -373,29 +368,17 @@ def _draw_drops(scenarios, drop_index: int) -> list:
             runs[key] = _kernel_run(s, drop_index, fading, runs.get(key))
         except CorrDivError as exc:
             runs[key] = exc
-
-    outcomes = []
-    for s in scenarios:
-        try:
-            distances, shadowing = _draw_geometry(s, drop_index)
-            kernel = runs[_stats_key(s)]
-            if isinstance(kernel, CorrDivError):
-                raise kernel
-            outcomes.append(_DropDraws(drop_index, distances, shadowing, *kernel))
-        except CorrDivError as exc:
-            outcomes.append(exc)
-    return outcomes
+    return runs
 
 
-def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
-    """Link gains, fading-averaged and closed-form SNRs and sum SE of one drop."""
+def _aggregate_drop(scenario: Scenario, drop_index: int, kernel: tuple) -> DropResult:
+    """Lane-0 geometry, link gains, fading-averaged and closed-form SNRs and
+    sum SE of one drop, from its model's ``(trace_sq, trace_inv, rejected)``."""
     n_term, n_ant = scenario.l, scenario.m
-    trace_sq = draws.trace_sq
-    trace_inv = draws.trace_inv
+    trace_sq, trace_inv, rejected = kernel
     inv_eta = n_term / trace_inv
-    betas = np.array(
-        [link_gain(scenario.geometry, z, d) for d, z in zip(draws.distances_m, draws.shadowing)]
-    )
+    distances, shadowing = _draw_geometry(scenario, drop_index)
+    betas = np.array([link_gain(scenario.geometry, z, d) for d, z in zip(distances, shadowing)])
     scale = scenario.rho_t_linear * betas / scenario.sigma2
 
     mean_inv_eta = float(np.mean(inv_eta))
@@ -413,15 +396,15 @@ def _aggregate_drop(scenario: Scenario, draws: _DropDraws) -> DropResult:
     eta_cv = float(np.std(trace_inv) / np.mean(trace_inv))
 
     return DropResult(
-        drop_index=draws.drop_index,
-        distances_m=np.array(draws.distances_m),
+        drop_index=drop_index,
+        distances_m=np.array(distances),
         link_gains=betas,
         per_terminal_expected_snr_db=snr_sim_db,
         per_terminal_closed_form_snr_db=snr_cf_db,
         sum_se_sim_bits=sum_se_sim,
         sum_se_cf_bits=sum_se_cf,
         trace_sq=trace_sq,
-        rejected_trials=draws.rejected_trials,
+        rejected_trials=rejected,
         eta_cv=eta_cv,
         inv_eta=inv_eta,
     )
@@ -433,10 +416,10 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
     Deterministic function of (scenario.seed, drop_index); raises the
     ``CorrDivError`` that aborts the drop.
     """
-    (draws,) = _draw_drops([scenario], drop_index)
-    if isinstance(draws, CorrDivError):
-        raise draws
-    return _aggregate_drop(scenario, draws)
+    kernel = _draw_drops([scenario], drop_index)[_stats_key(scenario)]
+    if isinstance(kernel, CorrDivError):
+        raise kernel
+    return _aggregate_drop(scenario, drop_index, kernel)
 
 
 def _summarize(drops, n_failed: int) -> dict:
@@ -462,15 +445,16 @@ def _summarize(drops, n_failed: int) -> dict:
     }
 
 
-def _result(scenario: Scenario, outcomes) -> ScenarioResult:
-    """Aggregate a scenario's drawn drops. The run fails outright if more than
-    1% of its drops abort."""
+def _result(scenario: Scenario, per_drop) -> ScenarioResult:
+    """Aggregate a scenario's drops from the pass's ``_draw_drops`` results,
+    in drop order. The run fails outright if more than 1% of its drops abort."""
+    key = _stats_key(scenario)
     drops, failures = [], []
-    for d, outcome in enumerate(outcomes):
+    for d, kernel in enumerate(drop[key] for drop in per_drop):
         try:
-            if isinstance(outcome, CorrDivError):
-                raise outcome
-            drops.append(_aggregate_drop(scenario, outcome))
+            if isinstance(kernel, CorrDivError):
+                raise kernel
+            drops.append(_aggregate_drop(scenario, d, kernel))
         except CorrDivError as exc:
             failures.append((d, str(exc)))
     if len(failures) > 0.01 * scenario.n_drops:
@@ -537,8 +521,8 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
     is. Each drop draws its fading once per (seed, n_fading, L, M) and its
     kernel statistics once per correlation model, and frees both before the
     next drop; the heap is trimmed once more before aggregation. The
-    attenuation constant, rho_t and sigma2 enter only when the drops are
-    aggregated, so every result is bit-identical to a separate
+    geometry, the attenuation constant, rho_t and sigma2 enter only when the
+    drops are aggregated, so every result is bit-identical to a separate
     ``run_scenario`` call, for any worker count.
 
     With ``calibrate``, the calibration baseline of the first scenario joins
@@ -581,17 +565,16 @@ def run_scenarios(scenarios, workers: int = 1, calibrate: bool = False) -> list:
                 max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
                 per_drop = list(pool.map(_draw_drops, tasks, range(n_drops)))
-        outcomes = [list(column) for column in zip(*per_drop)]
         # the last drop's freed fading and kernel pages would otherwise stay
         # resident while the results are aggregated and written
         _trim_heap(0)
     finally:
         _advise_huge_pages(advising)
     if calibrate:
-        unit = _result(scenarios.pop(0), outcomes.pop(0))
+        unit = _result(scenarios.pop(0), per_drop)
         p5_db = float(np.percentile(pooled_instantaneous_snr_db(unit), 5.0))
         scenarios = [_at_attenuation(s, 10.0 ** (-p5_db / 10.0)) for s in scenarios]
-    return [_result(s, o) for s, o in zip(scenarios, outcomes)]
+    return [_result(s, per_drop) for s in scenarios]
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:

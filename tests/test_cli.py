@@ -396,6 +396,14 @@ class TestValidation:
         assert err.startswith(prefix + message), err
         assert not (tmp_path / "out").exists()
 
+    def test_yaml_mark_names_the_file(self, tmp_path, capsys):
+        text = MINIMAL.replace("l: 2\n", "l: 2\nrho_t_db: !!float abc\n")
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f'in "{scenario}", line 3, column 11' in err, err
+        assert "<unicode string>" not in err
+
     def test_attenuation_and_calibrate_are_exclusive(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "  attenuation_constant: 1.0", "  attenuation_constant: 1.0\n  calibrate: true"
@@ -921,3 +929,20 @@ def test_kernel_benchmark_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "ms per batch" in proc.stdout
     assert "MB traced peak allocation per batch" in proc.stdout
+
+
+def test_tracer_resolves_every_traced_name():
+    # bench/trace_cli.py replaces each traced function by name in the module
+    # its caller reads it from; a name it cannot find fails every traced run
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("trace_cli", ROOT / "bench" / "trace_cli.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, name, _ in tracer.TRACED
+        if not callable(getattr(module, name, None))
+    ]
+    assert missing == []

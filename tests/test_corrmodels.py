@@ -16,7 +16,7 @@ from corrdiv import (
     build_one_ring,
     factor,
 )
-from corrdiv.corrmodels import PSD_FLOOR, _hermitian_toeplitz, _one_ring_lags, average_clerckx
+from corrdiv.corrmodels import PSD_FLOOR, _hermitian_toeplitz, _one_ring_lags, average_toeplitz
 from corrdiv.errors import DimensionMismatchError
 from corrdiv.propagation import MeasuredAngularModel, draw_truncated_spread
 
@@ -284,21 +284,47 @@ def test_average_correlation_reads_any_iterable():
         average_correlation(build_exponential(m, 0.5) for m in (3, 3, 4))
 
 
+def assert_toeplitz_average_matches(rs):
+    # average_toeplitz over the first columns gives average_correlation's
+    # mean entry for entry (a zero may differ in sign) and its trace bit for bit
+    rbar, tsq = average_toeplitz([r.entries[:, 0].copy() for r in rs])
+    want_rbar, want_tsq = average_correlation(rs)
+    np.testing.assert_array_equal(rbar, want_rbar)
+    assert rbar.dtype == want_rbar.dtype
+    assert np.float64(tsq).tobytes() == np.float64(want_tsq).tobytes()
+
+
 @pytest.mark.parametrize(
     "m, l, xi",
     [(64, 49, 0.9), (64, 49, 0.0), (64, 49, 1.0), (7, 1, 0.3), (256, 64, 0.99), (1, 1, 0.5)],
 )
 def test_average_clerckx_matches_built_matrices(m, l, xi):
-    # the mean is equal entry for entry (a zero may differ in sign) and the
-    # trace bit for bit; at L=49 the mean's diagonal is not exactly 1
-    deltas = [float(d) for d in np.random.default_rng(m + l).uniform(-180, 180, size=l)]
-    rbar, tsq = average_clerckx(m, xi, deltas)
-    want_rbar, want_tsq = average_correlation(build_clerckx(m, xi, d) for d in deltas)
-    np.testing.assert_array_equal(rbar, want_rbar)
-    assert rbar.dtype == want_rbar.dtype
-    assert np.float64(tsq).tobytes() == np.float64(want_tsq).tobytes()
-    with pytest.raises(DimensionMismatchError):
-        average_clerckx(m, xi, [])
+    # at L=49 the mean's diagonal is not exactly 1
+    deltas = np.random.default_rng(m + l).uniform(-180, 180, size=l)
+    assert_toeplitz_average_matches([build_clerckx(m, xi, float(d)) for d in deltas])
+
+
+@pytest.mark.parametrize("m, l, xi", [(64, 6, 0.9), (64, 49, 1.0), (256, 16, 0.5), (1, 1, 0.0)])
+def test_average_exponential_matches_built_matrices(m, l, xi):
+    assert_toeplitz_average_matches([build_exponential(m, xi)] * l)
+
+
+@pytest.mark.parametrize("m, l", [(64, 6), (256, 16), (1, 1)])
+def test_average_one_ring_matches_built_matrices(m, l):
+    rng = np.random.default_rng(m + l)
+    spreads, doas = rng.uniform(1.0, 40.0, size=l), rng.uniform(-180, 180, size=l)
+    assert_toeplitz_average_matches(
+        [build_one_ring(m, float(s), float(d)) for s, d in zip(spreads, doas)]
+    )
+
+
+def test_average_toeplitz_rejects_empty_or_mixed_columns():
+    with pytest.raises(DimensionMismatchError, match="at least one"):
+        average_toeplitz([])
+    # a length-1 column would broadcast into the sum if it were not checked
+    for lengths in ((3, 3, 4), (3, 1), (1, 3)):
+        with pytest.raises(DimensionMismatchError, match="differ in order"):
+            average_toeplitz([0.5 ** np.arange(k) for k in lengths])
 
 
 def test_trace_identity_on_random_ensembles():

@@ -108,8 +108,9 @@ class TestScenarioValidation:
             ("m", 16384, "m"),
             # one drop's (n_fading, 2, 8) fading block
             ("n_fading", montecarlo.MAX_ARRAY_BYTES // 256, ("n_fading", "l", "m")),
-            # the n_drops x 4 trials the run keeps
-            ("n_drops", montecarlo.MAX_ARRAY_BYTES // 32, ("n_drops", "n_fading")),
+            # the n_drops x 4 x 6 instantaneous SNRs of the L=6 calibration
+            # baseline, which pools more than this L=2 run
+            ("n_drops", montecarlo.MAX_ARRAY_BYTES // 192, ("n_drops", "n_fading")),
         ],
     )
     def test_rejects_arrays_past_the_ceiling(self, name, at_ceiling, fields):
@@ -117,6 +118,20 @@ class TestScenarioValidation:
         with pytest.raises(InvalidParameterError, match="more than 4 GiB") as exc:
             exp_scenario(**{name: at_ceiling + 1})
         assert exc.value.field == fields
+
+    def test_rejects_a_calibration_pool_past_the_ceiling(self):
+        # the 10^6 x 500 kept trials take 3.7 GiB, but the instantaneous SNRs
+        # of their 6 terminals, which calibration pools, would take 22.4 GiB
+        model = CorrelationModelSpec(variant="exponential", xi=0.9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="instantaneous SNRs") as exc:
+                exp_scenario(m=64, l=6, model=model, n_drops=10**6, n_fading=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.field == ("n_drops", "n_fading")
+        assert peak < 1 << 16, peak
 
     def test_rejects_nonpositive_noise_power(self):
         with pytest.raises(InvalidParameterError):
@@ -486,10 +501,12 @@ class TestDropMemory:
         scenarios = toeplitz_pass()
         for d in range(3):
             drawn = montecarlo._draw_drops(scenarios, d)
-            for got, (trace_sq, trace_inv, rejected) in zip(drawn, eager_draws(scenarios, d)):
-                assert got.trace_sq == trace_sq
-                np.testing.assert_array_equal(got.trace_inv, trace_inv)
-                assert got.rejected_trials == rejected
+            assert list(drawn) == [montecarlo._stats_key(s) for s in scenarios]
+            for s, (trace_sq, trace_inv, rejected) in zip(scenarios, eager_draws(scenarios, d)):
+                got_sq, got_inv, got_rejected = drawn[montecarlo._stats_key(s)]
+                assert got_sq == trace_sq
+                np.testing.assert_array_equal(got_inv, trace_inv)
+                assert got_rejected == rejected
 
     def test_a_drop_holds_one_clerckx_stack(self):
         # the fading, one (L, M, M) stack, one kernel chunk and one conjugate
@@ -516,13 +533,13 @@ class TestDropMemory:
         real_draw, real_result = montecarlo._draw_drops, montecarlo._result
 
         def draw_drops(scenarios, drop_index):
-            outcomes = real_draw(scenarios, drop_index)
+            drop = real_draw(scenarios, drop_index)
             events.append("drop")
-            return outcomes
+            return drop
 
-        def result(scenario, outcomes):
+        def result(scenario, per_drop):
             events.append("aggregate")
-            return real_result(scenario, outcomes)
+            return real_result(scenario, per_drop)
 
         monkeypatch.setattr(montecarlo, "_trim_heap", lambda pad: events.append("trim"))
         if workers == 1:  # a pool pickles the drop function by name
@@ -679,8 +696,8 @@ def openblas_threads():
 def drawn_alone(scenario):
     """``run_scenario`` without the pass around the drops, at the caller's
     BLAS thread count."""
-    outcomes = [montecarlo._draw_drops([scenario], d)[0] for d in range(scenario.n_drops)]
-    return montecarlo._result(scenario, outcomes)
+    per_drop = [montecarlo._draw_drops([scenario], d) for d in range(scenario.n_drops)]
+    return montecarlo._result(scenario, per_drop)
 
 
 def assert_same_drops(a, b):

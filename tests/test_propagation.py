@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrdiv import (
+    CorrelationMatrix,
     CorrelationModelSpec,
     GeometryConfig,
     InvalidParameterError,
@@ -209,14 +210,15 @@ class TestAngularParams:
 
     def test_doa_uniform_cdf(self, monkeypatch):
         # the mean DOAs the engine draws from each drop's model lane, read off
-        # the builder's arguments; the matrices themselves play no part here
+        # the builder's arguments; the matrices themselves play no part here,
+        # so every terminal gets a 1 x 1 stand-in
         doas = []
+        unit = CorrelationMatrix(np.ones((1, 1)))
         monkeypatch.setattr(
-            montecarlo, "build_one_ring", lambda m, spread, doa, spacing: doas.append(doa)
+            montecarlo,
+            "build_one_ring",
+            lambda m, spread, doa, spacing: doas.append(doa) or unit,
         )
-        # the stub reads the profiles it is given, as the engine builds them
-        # only as they are read
-        monkeypatch.setattr(montecarlo, "average_correlation", lambda rs: (list(rs), 50.0))
         monkeypatch.setattr(montecarlo, "factor", lambda r: np.ones((1, 1)))
         scenario = Scenario(
             m=50,
