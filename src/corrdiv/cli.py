@@ -178,7 +178,26 @@ def _parse_model(p: _Parser, raw) -> CorrelationModelSpec:
 class _Loader(yaml.SafeLoader):
     """The safe loader, with a value its constructor cannot convert, such as
     an integer past the interpreter's digit limit or ``!!bool x``, reported
-    at its line."""
+    at its line; so is an alias, whose expansions multiply with each level,
+    and a node nested deeper than ``_MAX_DEPTH``, before either is composed."""
+
+    # the deepest values sit four nodes down (document, model, measured block
+    # or phase range, value); a fifth lets a list there reach its key's check
+    _MAX_DEPTH = 5
+    _depth = 0
+
+    def compose_node(self, parent, index):
+        event = self.peek_event()
+        if isinstance(event, yaml.AliasEvent):
+            problem = "aliases are not allowed in a scenario file"
+        elif self._depth == self._MAX_DEPTH:
+            problem = f"nested deeper than the scenario schema's {self._MAX_DEPTH} levels"
+        else:
+            self._depth += 1
+            node = super().compose_node(parent, index)
+            self._depth -= 1
+            return node
+        raise yaml.composer.ComposerError(None, None, problem, event.start_mark)
 
     def construct_object(self, node, deep=False):
         try:
@@ -474,6 +493,10 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
+        # a fork pool starts every worker at its first task, so more workers
+        # than the cores this process may run on only add processes
+        cores = getattr(os, "sched_getaffinity", None)
+        args.workers = min(args.workers, len(cores(0)) if cores else (os.cpu_count() or 1))
         return args.handler(args)
     except (CorrDivError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

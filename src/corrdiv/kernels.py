@@ -2,19 +2,18 @@
 
 ``channels`` synthesizes a batch of correlated channels; it is the package's
 one per-terminal synthesis loop. ``gram_stats`` reduces each trial's Gram
-matrix to the trace of its inverse plus bounds on its extremal eigenvalues
-(used for condition screening). ``gram_eta_stats`` composes the two over
-fixed chunks of trials, written one after another into one channel buffer,
-so no whole-batch channel array exists; ``benchmarks/bench_kernels.py``
-times it.
+matrix to the trace of its inverse, or to ``inf`` where the matrix fails the
+condition screen. ``gram_eta_stats`` composes the two over fixed chunks of
+trials, written one after another into one channel buffer, so no
+whole-batch channel array exists; ``benchmarks/bench_kernels.py`` times it.
 """
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-# Gram matrices past this condition number poison trace averages; callers
-# leave such a trial out and count it
+# Gram matrices past this condition number poison trace averages; the kernel
+# reports such a trial's trace as inf, and callers leave it out and count it
 COND_MAX = 1e12
 # bytes of channels one kernel chunk synthesizes, so that its channels and the
 # conjugate copy its Gram product makes stay cache-sized whatever the batch
@@ -29,13 +28,13 @@ _CHUNK_BYTES = 1 << 20
 _CONJ_BYTES = 1 << 19
 
 
-def _eigen_stats(gram):
-    """[Tr[G^-1], lam_min, lam_max] from the eigenvalues; inf trace if singular."""
+def _eigen_trace(gram):
+    """Tr[G^-1] from the eigenvalues; inf unless 0 < lam_max <= COND_MAX lam_min."""
     lam = np.linalg.eigvalsh(gram)
     trace_inv = np.full(len(gram), np.inf)
-    ok = lam[:, 0] > 0
+    ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_MAX * lam[:, 0])
     trace_inv[ok] = np.sum(1.0 / lam[ok], axis=1)
-    return np.stack([trace_inv, lam[:, 0], lam[:, -1]], axis=1)
+    return trace_inv
 
 
 def channels(w: np.ndarray, bh, out=None) -> np.ndarray:
@@ -50,12 +49,9 @@ def channels(w: np.ndarray, bh, out=None) -> np.ndarray:
 
 
 def gram_stats(h: np.ndarray) -> np.ndarray:
-    """Per-trial [Tr[G^-1], lam_lo, lam_hi] of G = h h^H for an (n_trials, L, M)
-    batch of channels; ``gram_eta_stats`` says what the bounds mean.
-
-    The Gram matrices are built ``_CONJ_BYTES`` of channels at a time, so the
-    conjugate copy each product reads never spans the whole batch; every
-    trial's matrix is its own product either way."""
+    """Per-trial Tr[G^-1] of G = h h^H for an (n_trials, L, M) batch of
+    channels, inf where G fails the condition screen (``gram_eta_stats``);
+    the Gram matrices are built ``_CONJ_BYTES`` of channels at a time."""
     n_trials, n_term, m = h.shape
     gram = np.empty((n_trials, n_term, n_term), np.complex128)
     step = max(1, _CONJ_BYTES // (n_term * m * 16))
@@ -65,18 +61,16 @@ def gram_stats(h: np.ndarray) -> np.ndarray:
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        return _eigen_stats(gram)
-    # Tr[G^-1] = ||L^-1||_F^2 for G = L L^H; 1/Tr[G^-1] <= lam_min and
-    # lam_max <= Tr[G], so a bound ratio within COND_MAX proves the condition
+        return _eigen_trace(gram)
+    # Tr[G^-1] = ||L^-1||_F^2 for G = L L^H; lam_max / lam_min <= Tr[G] Tr[G^-1],
+    # so a product within COND_MAX proves the condition
     sq = np.square(chol_inv.real)
     sq += np.square(chol_inv.imag)
     trace_inv = np.sum(sq, axis=(1, 2))
-    trace = np.trace(gram, axis1=1, axis2=2).real
-    stats = np.stack([trace_inv, 1.0 / trace_inv, trace], axis=1)
-    loose = trace * trace_inv > COND_MAX
+    loose = np.trace(gram, axis1=1, axis2=2).real * trace_inv > COND_MAX
     if np.any(loose):
-        stats[loose] = _eigen_stats(gram[loose])
-    return stats
+        trace_inv[loose] = _eigen_trace(gram[loose])
+    return trace_inv
 
 
 def chunk_step(n_term: int, m: int) -> int:
@@ -85,30 +79,23 @@ def chunk_step(n_term: int, m: int) -> int:
 
 
 def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
-    """Per-trial [Tr[(HH^H)^-1], lam_lo, lam_hi] for a batch of trials.
+    """Per-trial Tr[(HH^H)^-1] for a batch of trials, ``inf`` for a trial
+    whose Gram matrix fails the condition screen.
 
-    ``lam_lo <= lam_min`` and ``lam_hi >= lam_max`` bound the Gram matrix's
-    extremal eigenvalues: they are 1/Tr[G^-1] and Tr[G] from a Cholesky
-    factor, or the eigenvalues themselves for trials whose bound ratio
-    exceeds ``COND_MAX`` (and for a whole chunk when one of its Gram
-    matrices is not numerically positive definite). So
-    ``lam_hi <= COND_MAX * lam_lo`` holds exactly when the condition number
-    is within ``COND_MAX``. A singular Gram matrix reports an infinite trace.
+    A trial passes when ``0 < lam_min`` and ``lam_max <= COND_MAX * lam_min``.
+    The Cholesky factor's ``Tr[G] * Tr[G^-1] <= COND_MAX`` proves that
+    without an eigensolve; the eigenvalues decide the trials past that
+    bound, and a whole chunk when one of its Gram matrices is not
+    numerically positive definite.
 
-    The trials run in chunks of ``chunk_step(L, M)`` trials: as many as
-    fit their (step, L, M) channels in ``_CHUNK_BYTES``, but at least 64.
-    The step depends on L and M alone, so a trial's row does not depend on
-    the batch it came in. Every chunk's channels go into one buffer the
-    call allocates once.
+    The trials run in chunks of ``chunk_step(L, M)`` trials, a step set by
+    L and M alone, so a trial's value does not depend on the batch it came
+    in; every chunk's channels go into one buffer the call allocates once.
 
-    Parameters
-    ----------
-    w : (n_trials, L, >= max r_l) complex128, any strides
-        iid CN(0, 1) fading draws; terminal l reads its first r_l columns.
-    bh : sequence of L complex128 arrays, each (r_l, M) with r_l <= M
-        Per-terminal conjugate-transposed correlation factors, so that row l
-        of trial t is ``w[t, l, :r_l] @ bh[l]``: an (L, M, M) or (L, r, M)
-        stack, or a list whose ranks differ.
+    ``w`` holds (n_trials, L, >= max r_l) iid CN(0, 1) fading draws of any
+    strides, and ``bh`` the L conjugate-transposed (r_l, M) factors, r_l <= M,
+    as an (L, M, M) or (L, r, M) stack or a list whose ranks differ; row l of
+    trial t is ``w[t, l, :r_l] @ bh[l]``.
     """
     w = np.asarray(w, dtype=np.complex128)
     bh = [np.asarray(b, dtype=np.complex128) for b in bh]
@@ -121,15 +108,9 @@ def gram_eta_stats(w: np.ndarray, bh) -> np.ndarray:
         )
     n_trials, n_term = w.shape[:2]
     step = chunk_step(n_term, m)
-    stats = np.empty((n_trials, 3))
+    trace_inv = np.empty(n_trials)
     h = np.empty((min(step, n_trials), n_term, m), np.complex128)
     for t in range(0, n_trials, step):
         chunk = w[t : t + step]
-        stats[t : t + step] = gram_stats(channels(chunk, bh, out=h[: len(chunk)]))
-    return stats
-
-
-def conditioned(stats: np.ndarray) -> np.ndarray:
-    """Mask of the trials whose ``gram_eta_stats`` rows pass the condition screen."""
-    trace_inv, lam_lo, lam_hi = stats.T
-    return np.isfinite(trace_inv) & (lam_lo > 0) & (lam_hi <= COND_MAX * lam_lo)
+        trace_inv[t : t + step] = gram_stats(channels(chunk, bh, out=h[: len(chunk)]))
+    return trace_inv

@@ -13,9 +13,10 @@ scheduling order or the other scenarios of a pass, and scenarios of equal
 (n_fading, L, M) share their fading drop by drop. ``run_scenarios`` exploits
 that: it loops over drops outermost and, within a drop, draws each
 terminal's fading once, to the largest rank any scenario of that shape
-reads, and the kernel statistics once per correlation model. A drop's
-lane-0 geometry is drawn when each scenario's drop is aggregated, since no
-kernel reads it.
+reads, and each trial's Tr[G^-1] once per correlation model, ``inf`` where
+the trial fails the condition screen. Aggregating a scenario's drop draws
+its lane-0 geometry, which no kernel reads, and applies the screen's 5%
+abort rule.
 
 Calibration lives here too: the attenuation constant A that puts the 5th
 percentile of instantaneous ZF SNR at 0 dB on a scenario's calibration
@@ -300,29 +301,11 @@ def _stats_key(s: Scenario) -> tuple:
     return (s.model,) + _fading_key(s)
 
 
-def _kernel_run(s: Scenario, drop_index: int, fading, profiles=None) -> tuple:
-    """``(trace_sq, trace_inv, rejected)`` of scenario ``s``'s drop: the
-    Tr[G^-1] of every trial that passes the condition screen, and the count
-    of those that fail it, which enter no average. More than 5% failed
-    trials abort the drop. ``profiles`` are the drop's lane-1 profiles or,
-    when None, built here and freed with this call.
-    """
-    trace_sq, bh = profiles or _terminal_profiles(s, _stream(s.seed, drop_index, _MODEL_LANE))
-    stats = kernels.gram_eta_stats(fading[_fading_key(s)], bh)
-    kept = kernels.conditioned(stats)
-    rejected = s.n_fading - int(np.count_nonzero(kept))
-    if rejected > 0.05 * s.n_fading:
-        raise RunFailureError(
-            f"{rejected} of {s.n_fading} trials failed the condition screen, "
-            "more than the 5% abort threshold allows"
-        )
-    return trace_sq, stats[kept, 0], rejected
-
-
 def _draw_drops(scenarios, drop_index: int) -> dict:
-    """One drop's kernel results, ``{_stats_key(s): (trace_sq, trace_inv,
-    rejected)}`` for each correlation model of ``scenarios``, or the
-    ``CorrDivError`` that aborted that model's drop.
+    """One drop's kernel results, ``{_stats_key(s): (trace_sq, trace_inv)}``
+    for each correlation model of ``scenarios``, with every trial's Tr[G^-1]
+    (``inf`` past the condition screen), or the ``CorrDivError`` that
+    aborted that model's drop.
 
     The one-ring profiles come first, because their ranks set how far the
     fading is drawn; an exponential or Clerckx terminal has the rank of the
@@ -365,17 +348,33 @@ def _draw_drops(scenarios, drop_index: int) -> dict:
         if isinstance(runs.get(key), CorrDivError):
             continue
         try:
-            runs[key] = _kernel_run(s, drop_index, fading, runs.get(key))
+            trace_sq, bh = runs.get(key) or _terminal_profiles(
+                s, _stream(s.seed, drop_index, _MODEL_LANE)
+            )
+            runs[key] = trace_sq, kernels.gram_eta_stats(fading[_fading_key(s)], bh)
         except CorrDivError as exc:
             runs[key] = exc
+        bh = None  # freed before the next model's stack is built
     return runs
 
 
-def _aggregate_drop(scenario: Scenario, drop_index: int, kernel: tuple) -> DropResult:
+def _aggregate_drop(scenario: Scenario, drop_index: int, kernel) -> DropResult:
     """Lane-0 geometry, link gains, fading-averaged and closed-form SNRs and
-    sum SE of one drop, from its model's ``(trace_sq, trace_inv, rejected)``."""
+    sum SE of one drop from its model's ``_draw_drops`` result, whose
+    ``CorrDivError`` it raises. A trial of infinite Tr[G^-1] enters no
+    average; more of them than 5% of the trials abort the drop."""
+    if isinstance(kernel, CorrDivError):
+        raise kernel
     n_term, n_ant = scenario.l, scenario.m
-    trace_sq, trace_inv, rejected = kernel
+    trace_sq, trace_inv = kernel
+    kept = np.isfinite(trace_inv)
+    rejected = scenario.n_fading - int(np.count_nonzero(kept))
+    if rejected > 0.05 * scenario.n_fading:
+        raise RunFailureError(
+            f"{rejected} of {scenario.n_fading} trials failed the condition screen, "
+            "more than the 5% abort threshold allows"
+        )
+    trace_inv = trace_inv[kept]
     inv_eta = n_term / trace_inv
     distances, shadowing = _draw_geometry(scenario, drop_index)
     betas = np.array([link_gain(scenario.geometry, z, d) for d, z in zip(distances, shadowing)])
@@ -417,8 +416,6 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
     ``CorrDivError`` that aborts the drop.
     """
     kernel = _draw_drops([scenario], drop_index)[_stats_key(scenario)]
-    if isinstance(kernel, CorrDivError):
-        raise kernel
     return _aggregate_drop(scenario, drop_index, kernel)
 
 
@@ -452,8 +449,6 @@ def _result(scenario: Scenario, per_drop) -> ScenarioResult:
     drops, failures = [], []
     for d, kernel in enumerate(drop[key] for drop in per_drop):
         try:
-            if isinstance(kernel, CorrDivError):
-                raise kernel
             drops.append(_aggregate_drop(scenario, d, kernel))
         except CorrDivError as exc:
             failures.append((d, str(exc)))

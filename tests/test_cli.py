@@ -404,6 +404,46 @@ class TestValidation:
         assert f'in "{scenario}", line 3, column 11' in err, err
         assert "<unicode string>" not in err
 
+    def test_alias_levels_are_rejected_at_the_first_alias(self, tmp_path, capsys, monkeypatch):
+        # five levels of ten aliases each expand to 10**5 lists, and line
+        # marks collected over an expansion cost ten times more per level
+        calls = []
+        collect = cli._collect_marks
+
+        def counted(node, path, marks):
+            calls.append(path)
+            collect(node, path, marks)
+
+        monkeypatch.setattr(cli, "_collect_marks", counted)
+        levels = ["  a0: &a0 [x, x, x, x, x, x, x, x, x, x]"]
+        levels += [f"  a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, 5)]
+        scenario = write_scenario(tmp_path, MINIMAL + "bogus:\n" + "\n".join(levels) + "\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {scenario}:14: invalid YAML: aliases are not allowed in a scenario file"
+        ), err
+        assert calls == []
+
+    def test_aliased_value_is_located_without_its_expansion(self, tmp_path, capsys):
+        big = "big: &big [" + ", ".join(["1.0"] * 2000) + "]\n"
+        scenario = write_scenario(tmp_path, big + MINIMAL.replace("m: 8", "m: *big"))
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario}:2: invalid YAML: aliases are not allowed"), err
+        assert len(err) < 500
+
+    @pytest.mark.parametrize("depth", [6, 3000])
+    def test_nesting_past_the_schema_is_located(self, tmp_path, capsys, depth):
+        # 3000 levels would pass the recursion limit if they were composed
+        text = MINIMAL.replace("m: 8", "m: 8\nrho_t_db: " + "[" * depth + "]" * depth)
+        scenario = write_scenario(tmp_path, text)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {scenario}:2: invalid YAML: nested deeper than the scenario schema's 5 levels"
+        ), err
+
     def test_attenuation_and_calibrate_are_exclusive(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "  attenuation_constant: 1.0", "  attenuation_constant: 1.0\n  calibrate: true"
@@ -646,6 +686,35 @@ class TestCompareWorkers:
         assert stdout_one == stdout_two
         for name in ("cdf.csv", "gains.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestWorkerCap:
+    """``--workers`` is capped at the cores this process may run on, since a
+    fork pool starts every worker at its first task."""
+
+    @staticmethod
+    def run(tmp_path, workers):
+        scenario = write_scenario(tmp_path, MINIMAL.replace("n_drops: 2", "n_drops: 6"))
+        args = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        assert main(args + ["--workers", str(workers)]) == 0
+        return read_rows(tmp_path / "out" / "drops.csv")
+
+    @pytest.mark.parametrize(
+        "cores, workers, pools", [(3, 5000, [3]), (8, 2, [2]), (1, 5000, [])]
+    )
+    def test_workers_are_capped_at_the_affinity(
+        self, tmp_path, monkeypatch, in_process_pool, cores, workers, pools
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        rows = self.run(tmp_path, workers)
+        assert [max_workers for max_workers, *_ in in_process_pool] == pools
+        assert rows == self.run(tmp_path, 1)
+
+    def test_cpu_count_caps_without_an_affinity(self, tmp_path, monkeypatch, in_process_pool):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        self.run(tmp_path, 5000)
+        assert [max_workers for max_workers, *_ in in_process_pool] == [4]
 
 
 class TestCalibrateCommand:

@@ -1,6 +1,5 @@
 """Tests for drop orchestration, aggregation, and the RNG lane discipline."""
 
-import concurrent.futures
 import dataclasses
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -313,12 +312,9 @@ class TestRunDrop:
             run_drop(scenario, 0)
 
 
-ILL = np.array([np.inf, 0.0, 1.0])
-
-
 class KernelSpy:
     """Wraps the Gram kernel: records every batch it sees and reports chosen
-    calls' trials as ill-conditioned.
+    calls' trials as ill-conditioned, with an infinite Tr[G^-1].
 
     ``flags`` maps a call index to the trials of that call to flag; a drop
     makes one call per correlation model.
@@ -329,11 +325,10 @@ class KernelSpy:
         self.batches = []
 
     def __call__(self, w, bh):
-        stats = kernels.gram_stats(kernels.channels(w, bh))
-        for t in self.flags.get(len(self.batches), ()):
-            stats[t] = ILL
+        trace_inv = kernels.gram_stats(kernels.channels(w, bh))
+        trace_inv[list(self.flags.get(len(self.batches), ()))] = np.inf
         self.batches.append(np.array(w))
-        return stats
+        return trace_inv
 
 
 class DrawSpy:
@@ -387,7 +382,7 @@ class TestFadingStreams:
         assert [n for *_, n in draws.calls] == [100]
         assert len(kernel.batches) == 1
         bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
-        inv_eta = 2 / kernels.gram_stats(kernels.channels(kernel.batches[0], bh))[:, 0]
+        inv_eta = 2 / kernels.gram_stats(kernels.channels(kernel.batches[0], bh))
         assert np.array_equal(drop.inv_eta, np.delete(inv_eta, [2, 5]))
 
     def test_scenarios_share_the_block_of_a_drop(self, monkeypatch):
@@ -479,7 +474,7 @@ def toeplitz_pass(n_fading=500, n_drops=1):
 
 
 def eager_draws(scenarios, drop_index):
-    """``(trace_sq, trace_inv, rejected)`` per scenario, with every model's
+    """``(trace_sq, trace_inv)`` per scenario, with every model's
     lane-1 profiles built before the fading is drawn, so that all the Clerckx
     stacks are alive at once."""
     profiles = [
@@ -489,11 +484,8 @@ def eager_draws(scenarios, drop_index):
     s = scenarios[0]
     need = np.max([[len(b) for b in bh] for _, bh in profiles], axis=0)
     streams = [montecarlo._stream(s.seed, drop_index, 2, t) for t in range(s.l)]
-    fading = {montecarlo._fading_key(s): draw_fading(streams, need, s.n_fading)}
-    return [
-        montecarlo._kernel_run(sc, drop_index, fading, profile)
-        for sc, profile in zip(scenarios, profiles)
-    ]
+    fading = draw_fading(streams, need, s.n_fading)
+    return [(trace_sq, kernels.gram_eta_stats(fading, bh)) for trace_sq, bh in profiles]
 
 
 class TestDropMemory:
@@ -502,11 +494,10 @@ class TestDropMemory:
         for d in range(3):
             drawn = montecarlo._draw_drops(scenarios, d)
             assert list(drawn) == [montecarlo._stats_key(s) for s in scenarios]
-            for s, (trace_sq, trace_inv, rejected) in zip(scenarios, eager_draws(scenarios, d)):
-                got_sq, got_inv, got_rejected = drawn[montecarlo._stats_key(s)]
+            for s, (trace_sq, trace_inv) in zip(scenarios, eager_draws(scenarios, d)):
+                got_sq, got_inv = drawn[montecarlo._stats_key(s)]
                 assert got_sq == trace_sq
                 np.testing.assert_array_equal(got_inv, trace_inv)
-                assert got_rejected == rejected
 
     def test_a_drop_holds_one_clerckx_stack(self):
         # the fading, one (L, M, M) stack, one kernel chunk and one conjugate
@@ -572,7 +563,7 @@ class TestRunScenario:
         result = run_scenario(scenario)
         bh = np.broadcast_to(montecarlo._exponential_profile(8, 0.6)[1], (2, 8, 8))
         for drop, batch, left_out in zip(result.drops, kernel.batches, ([], [3], [])):
-            trace_inv = np.delete(kernels.gram_stats(kernels.channels(batch, bh))[:, 0], left_out)
+            trace_inv = np.delete(kernels.gram_stats(kernels.channels(batch, bh)), left_out)
             assert drop.eta_cv == np.std(trace_inv) / np.mean(trace_inv)
         assert result.summary["eta_cv_mean"] == np.mean([d.eta_cv for d in result.drops])
 
@@ -797,24 +788,10 @@ class TestRunScenarios:
         assert pooled.summary == serial.summary
         assert_same_drops(pooled, serial)
 
-    def test_pool_is_capped_at_the_drop_count(self, monkeypatch):
-        # a fork pool starts all its workers at the first task
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append((max_workers, initializer, initargs))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_is_capped_at_the_drop_count(self, in_process_pool):
+        # a fork pool starts all its workers at the first task; the library
+        # caps them at the drop count only, and the command line at the cores
+        pools = in_process_pool
         (pooled,) = run_scenarios([exp_scenario(n_drops=4)], workers=5000)
         assert pools == [(4, montecarlo._set_blas_threads, (1,))]
         assert pooled.summary == run_scenario(exp_scenario(n_drops=4)).summary

@@ -36,7 +36,7 @@ def iid_channel(generator, l, m):
 
 def eta(h):
     """eta = Tr[(HH^H)^-1] / L of one (L, M) channel, from the Gram kernel."""
-    return kernels.gram_stats(h[np.newaxis])[0, 0] / len(h)
+    return kernels.gram_stats(h[np.newaxis])[0] / len(h)
 
 
 class TestDrawFading:
@@ -150,7 +150,7 @@ class TestEtaExact:
     def test_iid_wishart_trace_oracle(self):
         # E{Tr[(HH^H)^-1]} = L/(M-L) exactly for iid complex Gaussian H
         m, l, n = 64, 6, 2000
-        traces = kernels.gram_stats(iid_block(rng(6), l, m, n))[:, 0]
+        traces = kernels.gram_stats(iid_block(rng(6), l, m, n))
         expected = l / (m - l)
         assert np.mean(traces) == pytest.approx(expected, rel=0.02)
 
